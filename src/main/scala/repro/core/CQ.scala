@@ -79,9 +79,6 @@ final case class CQ(
   def attrsElsewhere(id: String): Set[String] =
     atoms.filter(_.id != id).flatMap(_.attrs).toSet
 
-  /** `true` iff the query is a full query (`O = A`, no ⊕-aggregation). */
-  def isFull: Boolean = outputSet == attrSet && aggs.isEmpty && !distinctOutput
-
   /** Annotation indices whose ⊕ is not idempotent (need multiplicities). */
   def sumLikeAnnots: Set[Int] =
     aggs.zipWithIndex.collect { case (a, i) if !a.semiring.idempotent => i }.toSet

@@ -1,15 +1,14 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.CatalystAccess.{column, ofRows}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
-/** Interprets a [[Plan]] over Spark DataFrames.
-  *
-  * Annotation column `i` is named `__v{i}`; it is present on an
-  * intermediate result iff `op.annots(i)` — absent annotations are the
-  * semiring identity (the paper's annotation pruning). Operators used by
-  * more than one parent in the DAG are persisted so Spark does not
-  * recompute them (callers release them via [[ExecResult.cleanup]]).
+/** Runs a [[Plan]] on Spark: the instances become scan leaves, [[Lower]]
+  * turns the plan into one Catalyst logical plan, and the result is that
+  * plan as a DataFrame. Operators used by more than one parent in the DAG
+  * are persisted so Spark does not recompute them (callers release them
+  * via [[ExecResult.cleanup]]).
   */
 object Executor {
 
@@ -25,145 +24,54 @@ object Executor {
       sizes.collect { case (o, n) if !o.isInstanceOf[Scan] => n }.sum
   }
 
-  private def v(i: Int): String = s"__v$i"
-
   /** Run `plan` over the given instances; the result has the output
     * attributes plus one column per aggregate (aliased).
     */
   def run(plan: Plan, instances: CQ.Instances, collectStats: Boolean = false): ExecResult = {
-    val cq = plan.cq
-    CQ.validateInstances(cq, instances)
+    CQ.validateInstances(plan.cq, instances)
+    val spark = instances.head._2.sparkSession
+    val lower = new Lower(plan, scanLeaf(plan.cq, instances))
 
     // Parent counts over the structurally-deduped DAG decide persistence.
     val parentCount = collection.mutable.Map.empty[Op, Int].withDefaultValue(0)
     plan.ops.foreach(_.children.foreach(c => parentCount(c) += 1))
-
-    val memo = collection.mutable.Map.empty[Op, DataFrame]
-    val persisted = Vector.newBuilder[DataFrame]
-    val statSizes = Vector.newBuilder[(Op, Long)]
-
-    def eval(op: Op): DataFrame = memo.getOrElseUpdate(op, {
-      var df = op match {
-        case s: Scan        => scan(cq, s, instances)
-        case p: Project     => project(cq, p, eval(p.child))
-        case j: Join        => join(cq, j, eval(j.left), eval(j.right))
-        case sj: SemiJoin   => semiJoin(sj, eval(sj.left), eval(sj.right))
-      }
-      if (parentCount(op) > 1 && !op.isInstanceOf[Scan]) {
-        df = df.persist(); persisted += df
-      }
-      if (collectStats) statSizes += (op -> df.count())
-      df
-    })
-
-    val rootDf = eval(plan.root)
-    val out = finish(cq, plan.root, rootDf)
-    ExecResult(out, persisted.result(),
-      if (collectStats) Some(ExecStats(statSizes.result())) else None)
-  }
-
-  /** Convenience: plan-independent finalization of the root operator. */
-  private def finish(cq: CQ, root: Op, df: DataFrame): DataFrame = {
-    if (cq.aggs.nonEmpty) {
-      // Already grouped to exactly the output attributes with all
-      // annotations present? Then only aliasing is needed.
-      val grouped = root match {
-        case p: Project if p.dedupe && p.keep.toSet == cq.outputSet &&
-          cq.aggs.indices.forall(root.annots) => true
-        case _ => false
-      }
-      val wide =
-        if (grouped) df
-        else aggregate(cq, df, root.annots, cq.output)
-      wide.select(
-        cq.output.map(col) ++
-          cq.aggs.zipWithIndex.map { case (a, i) =>
-            a.semiring.finish(col(v(i))).as(a.alias)
-          }: _*)
-    } else if (cq.distinctOutput) {
-      df.select(cq.output.map(col): _*).distinct()
-    } else {
-      df.select(cq.output.map(col): _*)
+    val persisted = plan.ops.collect {
+      case op if parentCount(op) > 1 && !op.isInstanceOf[Scan] =>
+        ofRows(spark, lower(op).plan).persist()
     }
+    val stats = Option.when(collectStats)(
+      ExecStats(plan.ops.map(op => op -> ofRows(spark, lower(op).plan).count())))
+    ExecResult(ofRows(spark, lower.result), persisted, stats)
   }
 
-  private def scan(cq: CQ, s: Scan, instances: CQ.Instances): DataFrame = {
-    val base = instances(s.atomId)
+  /** The scan of an atom: its attributes (re-aliased, so atoms bound to
+    * one DataFrame stay distinct) and its annotation columns typed by the
+    * semiring.
+    */
+  private def scanLeaf(cq: CQ, instances: CQ.Instances)(s: Scan): Lower.Node = {
     val annotCols = s.annots.toVector.sorted.map { i =>
       val a = cq.aggs(i)
-      a.perAtom.get(s.atomId) match {
-        case Some(e) => expr(e).cast(a.semiring.dataType).as(v(i))
+      val e = a.perAtom.get(s.atomId) match {
+        case Some(e) => expr(e)
         case None    => // eager identity (annotation pruning disabled)
-          a.semiring.one.getOrElse(throw new IllegalStateException(
-            s"${cq.name}: scan ${s.atomId} asked to materialize identity of ${a.alias}"
-          )).cast(a.semiring.dataType).as(v(i))
+          column(a.semiring.one.getOrElse(throw new IllegalStateException(
+            s"${cq.name}: scan ${s.atomId} asked to materialize identity of ${a.alias}")))
       }
+      e.cast(a.semiring.dataType).as(Lower.v(i))
     }
-    base.select(s.attrs.map(col) ++ annotCols: _*)
-  }
-
-  /** GROUP BY `keep`, folding each annotation with its ⊕ and materializing
-    * absent sum-like annotations as group counts.
-    */
-  private def aggregate(cq: CQ, df: DataFrame, present: Set[Int],
-                        keep: Vector[String]): DataFrame = {
-    val toCount = cq.sumLikeAnnots -- present
-    val aggCols =
-      present.toVector.sorted.map(i => cq.aggs(i).semiring.plus(col(v(i))).as(v(i))) ++
-        (if (toCount.nonEmpty) Vector(count(lit(1)).as("__cnt")) else Vector.empty)
-    if (aggCols.isEmpty) // only absent idempotent annotations: a distinct suffices
-      return df.select(keep.map(col): _*).distinct()
-    val g = df.groupBy(keep.map(col): _*).agg(aggCols.head, aggCols.tail: _*)
-    val withCounts = toCount.toVector.sorted.foldLeft(g) { (acc, i) =>
-      acc.withColumn(v(i), cq.aggs(i).semiring.countFold(col("__cnt")).get)
-    }
-    if (toCount.nonEmpty) withCounts.drop("__cnt") else withCounts
-  }
-
-  private def project(cq: CQ, p: Project, child: DataFrame): DataFrame = {
-    if (!p.dedupe) {
-      // Pure column pruning (aggregation-elimination rule).
-      child.select((p.keep ++ p.child.annots.toVector.sorted.map(v)).map(col): _*)
-    } else if (cq.aggs.isEmpty) {
-      child.select(p.keep.map(col): _*).distinct()
-    } else {
-      aggregate(cq, child, p.child.annots, p.keep)
-    }
-  }
-
-  private def join(cq: CQ, j: Join, l: DataFrame, r: DataFrame): DataFrame = {
-    val common = j.left.attrs.filter(j.right.attrSet)
-    val shared = (j.left.annots & j.right.annots).toVector.sorted
-    val r2 = shared.foldLeft(r)((acc, i) => acc.withColumnRenamed(v(i), s"__r$i"))
-    val joined =
-      if (common.isEmpty) l.crossJoin(r2)
-      else l.join(r2, common, "inner")
-    shared.foldLeft(joined) { (acc, i) =>
-      val times = cq.aggs(i).semiring.times.getOrElse(
-        throw new IllegalStateException(
-          s"${cq.name}: annotation ${cq.aggs(i).alias} present on both join sides " +
-            "but its semiring is single-source"))
-      acc.withColumn(v(i), times(col(v(i)), col(s"__r$i"))).drop(s"__r$i")
-    }
-  }
-
-  private def semiJoin(sj: SemiJoin, l: DataFrame, r: DataFrame): DataFrame = {
-    val common = sj.left.attrs.filter(sj.right.attrSet)
-    if (common.isEmpty) l.join(r.limit(1), lit(true), "left_semi")
-    else l.join(r.select(common.map(col): _*), common, "left_semi")
+    val leaf = instances(s.atomId).select(s.attrs.map(x => col(x).as(x)) ++ annotCols: _*)
+      .queryExecution.analyzed
+    val out = leaf.output.map(a => a.name -> a).toMap
+    Lower.Node(leaf, s.attrs.map(x => x -> out(x)).toMap,
+      s.annots.map(i => i -> out(Lower.v(i))).toMap)
   }
 
   /** Evaluate a single operator (no finishing π/aliasing) — used by the
     * exact cardinality estimator to count intermediates.
     */
-  def materialize(cq: CQ, op: Op, instances: CQ.Instances): DataFrame = op match {
-    case s: Scan      => scan(cq, s, instances)
-    case p: Project   => project(cq, p, materialize(cq, p.child, instances))
-    case j: Join      => join(cq, j, materialize(cq, j.left, instances),
-                              materialize(cq, j.right, instances))
-    case sj: SemiJoin => semiJoin(sj, materialize(cq, sj.left, instances),
-                                  materialize(cq, sj.right, instances))
-  }
+  def materialize(cq: CQ, op: Op, instances: CQ.Instances): DataFrame =
+    ofRows(instances.head._2.sparkSession,
+      new Lower(Plan(cq, op), scanLeaf(cq, instances))(op).plan)
 
   /** Run the query's *native* flat SQL through Catalyst (the engine's own
     * plan) — registers the instances as temp views named by atom id.

@@ -7,8 +7,6 @@ final case class RootedTree(atomId: String, children: Vector[RootedTree]) {
   def postOrder: Vector[String] =
     children.flatMap(_.postOrder) :+ atomId
 
-  def nodeSet: Set[String] = postOrder.toSet
-
   def size: Int = 1 + children.map(_.size).sum
 
   def height: Int = if (children.isEmpty) 0 else 1 + children.map(_.height).max

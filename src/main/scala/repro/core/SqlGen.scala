@@ -24,7 +24,7 @@ object SqlGen {
       s"CREATE OR REPLACE TEMP VIEW $name AS $query"
   }
 
-  private def v(i: Int): String = s"__v$i"
+  import Lower.v
 
   /** Emit the script. Base relations are expected as tables/views named by
     * atom id.
@@ -36,16 +36,26 @@ object SqlGen {
       case (o, i) => (o: Op) -> s"${sanitize(cq.name)}_op$i"
     }.toMap
 
+    /** Annotation `i` ⊕-folded over a group: with its ⊕ when present,
+      * else (sum-like) as the group count.
+      */
+    def folded(i: Int, present: Boolean): String = {
+      val s = cq.aggs(i).semiring
+      if (present) s"${s.plusSql}(${v(i)})"
+      else s.countFoldSql("COUNT(*)").getOrElse(throw new IllegalStateException(
+        s"${cq.name}: annotation ${cq.aggs(i).alias} ($s) absent at the plan root"))
+    }
+
     def sqlFor(op: Op): String = op match {
       case s: Scan =>
         val annots = s.annots.toVector.sorted.map { i =>
           val a = cq.aggs(i)
-          val e = a.perAtom.getOrElse(s.atomId, oneLiteral(a.semiring))
+          val e = a.perAtom.getOrElse(s.atomId, a.semiring.oneSql.getOrElse(
+            throw new IllegalStateException(s"no SQL identity for ${a.semiring}")))
           // Match the typed-executor annotation columns exactly.
           val typed = a.semiring.dataType match {
-            case org.apache.spark.sql.types.DoubleType => s"CAST(($e) AS DOUBLE)"
-            case org.apache.spark.sql.types.LongType   => s"CAST(($e) AS BIGINT)"
-            case _                                     => s"($e)"
+            case org.apache.spark.sql.types.StringType => s"($e)"
+            case dt                                    => s"CAST(($e) AS ${dt.sql})"
           }
           s"$typed AS ${v(i)}"
         }
@@ -59,16 +69,10 @@ object SqlGen {
         } else if (cq.aggs.isEmpty) {
           s"SELECT DISTINCT ${p.keep.mkString(", ")} FROM $child"
         } else {
-          val present = p.child.annots.toVector.sorted.map { i =>
-            s"${cq.aggs(i).semiring.plusSql}(${v(i)}) AS ${v(i)}"
-          }
-          val counted = (cq.sumLikeAnnots -- p.child.annots).toVector.sorted.map { i =>
-            cq.aggs(i).semiring match {
-              case Semiring.CountProduct => s"CAST(COUNT(*) AS BIGINT) AS ${v(i)}"
-              case _                     => s"CAST(COUNT(*) AS DOUBLE) AS ${v(i)}"
-            }
-          }
-          val sel = (p.keep ++ present ++ counted).mkString(", ")
+          val annots = p.child.annots.toVector.sorted ++
+            (cq.sumLikeAnnots -- p.child.annots).toVector.sorted
+          val sel = (p.keep ++ annots.map(i =>
+            s"${folded(i, p.child.annots(i))} AS ${v(i)}")).mkString(", ")
           val grp = if (p.keep.isEmpty) "" else s" GROUP BY ${p.keep.mkString(", ")}"
           s"SELECT $sel FROM $child$grp"
         }
@@ -98,11 +102,13 @@ object SqlGen {
         val common = sj.left.attrs.filter(sj.right.attrSet)
         if (common.isEmpty)
           s"SELECT * FROM $l WHERE EXISTS (SELECT 1 FROM $r)"
-        else {
+        else if (common.size == 1)
           // Paper Table 1 spelling: WHERE key IN (SELECT DISTINCT key …).
-          val keys = common.mkString(", ")
-          val tuple = if (common.size == 1) keys else s"($keys)"
-          s"SELECT * FROM $l WHERE $tuple IN (SELECT DISTINCT $keys FROM $r)"
+          s"SELECT * FROM $l WHERE ${common.head} IN (SELECT DISTINCT ${common.head} FROM $r)"
+        else {
+          // A row-valued IN subquery is not portable (DuckDB rejects it).
+          val cond = common.map(x => s"r.$x = l.$x").mkString(" AND ")
+          s"SELECT * FROM $l l WHERE EXISTS (SELECT 1 FROM $r r WHERE $cond)"
         }
     }
 
@@ -114,12 +120,8 @@ object SqlGen {
         val aggCols = cq.aggs.zipWithIndex.map { case (a, i) =>
           val present = plan.root.annots(i)
           val body = (present, a.semiring) match {
-            case (true, Semiring.CountProduct)  => s"CAST(COALESCE(SUM(${v(i)}), 0) AS BIGINT)"
-            case (true, s)                      => s"${s.plusSql}(${v(i)})"
-            case (false, Semiring.CountProduct) => s"CAST(COUNT(*) AS BIGINT)"
-            case (false, Semiring.SumProduct)   => "CAST(COUNT(*) AS DOUBLE)"
-            case (false, s) => throw new IllegalStateException(
-              s"${cq.name}: annotation ${a.alias} ($s) absent at the plan root")
+            case (true, Semiring.CountProduct) => s"CAST(COALESCE(SUM(${v(i)}), 0) AS BIGINT)"
+            case _                             => folded(i, present)
           }
           s"$body AS ${a.alias}"
         }
@@ -133,13 +135,6 @@ object SqlGen {
       }
 
     Script(statements, finalQuery, ops.map(nameOf))
-  }
-
-  private def oneLiteral(s: Semiring): String = s match {
-    case Semiring.CountProduct => "1"
-    case Semiring.SumProduct | Semiring.MaxProduct => "1.0"
-    case Semiring.MinSum | Semiring.MaxSum | Semiring.MinDouble => "0.0"
-    case other => throw new IllegalStateException(s"no SQL identity for $other")
   }
 
   private def sanitize(name: String): String =

@@ -5,19 +5,20 @@ import scala.util.{Failure, Success, Try}
 import org.apache.spark.sql.catalyst.expressions._
 import org.apache.spark.sql.catalyst.expressions.aggregate._
 import org.apache.spark.sql.catalyst.plans.logical.{Aggregate, Join => LJoin, LogicalPlan, Project => LProject}
-import org.apache.spark.sql.catalyst.plans.{Inner, LeftSemi}
-import org.apache.spark.sql.catalyst.plans.logical.JoinHint
+import org.apache.spark.sql.catalyst.plans.Inner
 import org.apache.spark.sql.catalyst.rules.Rule
 import org.apache.spark.sql.catalyst.trees.TreeNodeTag
-import org.apache.spark.sql.types.{DataType, DecimalType, LongType}
+import org.apache.spark.sql.types.DecimalType
 
 import repro.core._
+import repro.core.Lower // not catalyst.expressions.Lower
 
 /** Catalyst integration of Yannakakis+: a `Rule[LogicalPlan]` (inject via
   * `spark.experimental.extraOptimizations`) that recognizes an
   * `Aggregate` over a tree of inner equi-joins, extracts the conjunctive
-  * query, plans it with [[YannakakisPlus]], and rebuilds the Yannakakis+
-  * DAG out of standard Catalyst nodes: `LeftSemi` joins for ⋉ and partial
+  * query, plans it with [[YannakakisPlus]], and lowers the Yannakakis+
+  * DAG with [[Lower]] — the same lowering the DataFrame [[Executor]] uses
+  * — into standard Catalyst nodes: `LeftSemi` joins for ⋉ and partial
   * `Aggregate`s for the ⊕-folding projections.
   *
   * Scope (anything else is left untouched):
@@ -28,20 +29,22 @@ import repro.core._
   *    product of two single-leaf factors), with non-decimal types;
   *  - the extracted query must be acyclic and span ≥ 3 relations.
   *
-  * The rewritten subtree is tagged so the fixed-point optimizer batch is
-  * idempotent, and the rewrite is discarded unless the rebuilt plan
-  * reproduces the original output schema exactly.
+  * The lowering tags the aggregates it builds so the fixed-point optimizer
+  * batch is idempotent, and the rewrite is discarded unless the rebuilt
+  * plan reproduces the original output schema exactly. A rewrite that
+  * fails is logged and the plan left as it was.
   */
-object YannakakisPlusRule extends Rule[LogicalPlan] {
+object YannakakisPlusRule extends Rule[LogicalPlan] with PredicateHelper {
 
-  val Tag: TreeNodeTag[Boolean] = TreeNodeTag[Boolean]("yannakakisPlus")
+  val Tag: TreeNodeTag[Boolean] = Lower.Tag
 
   override def apply(plan: LogicalPlan): LogicalPlan = plan.transformDown {
     case agg: Aggregate if agg.getTagValue(Tag).isEmpty =>
       Try(rewrite(agg)) match {
-        case Success(Some(newPlan)) => newPlan
-        case Success(None)          => agg
-        case Failure(_)             => agg
+        case Success(rewritten) => rewritten.getOrElse(agg)
+        case Failure(e) =>
+          logWarning("Yannakakis+ rewrite failed; keeping the original plan", e)
+          agg
       }
   }
 
@@ -106,25 +109,26 @@ object YannakakisPlusRule extends Rule[LogicalPlan] {
 
     val irPlan = YannakakisPlus.plan(cq)
 
-    // 5. Translate the IR DAG back into Catalyst operators.
-    val tr = new Translator(cq, leaves, relevant, clsOf, aggCols.toVector)
-    val (rootPlan, attrMap, annotMap) = tr.translate(irPlan.root)
-
-    // 6. Final aggregate reproducing the original output schema.
-    val finalGrouping = groupAttrs.map(a => attrMap(clsOf(a)))
-    var aggIdx = -1
-    val finalAggs: Seq[NamedExpression] = outCols.map {
-      case g: GroupOut =>
-        Alias(attrMap(clsOf(g.attr)), g.name)(exprId = g.exprId)
-      case a: AggOut =>
-        aggIdx += 1
-        val vAttr = annotMap.getOrElse(aggIdx,
-          throw new IllegalStateException(s"annotation $aggIdx missing at root"))
-        val folded: Expression = a.fold(vAttr)
-        Alias(folded, a.name)(exprId = a.exprId)
+    // 5. Lower the IR DAG over the leaves, each projected to its
+    //    relevant attributes plus the annotations it sources.
+    val leafById = leaves.map(l => l.id -> l.plan).toMap
+    def scanLeaf(s: Scan): Lower.Node = {
+      val attrs = relevant(s.atomId)
+      val annots = s.annots.toVector.sorted.map { i =>
+        i -> Alias(aggCols(i).sources.find(_._1 == s.atomId).get._2, Lower.v(i))()
+      }
+      Lower.Node(LProject(attrs ++ annots.map(_._2), leafById(s.atomId)),
+        attrs.map(a => clsOf(a) -> a).toMap,
+        annots.map { case (i, al) => i -> al.toAttribute }.toMap)
     }
-    val result = Aggregate(finalGrouping, finalAggs.toSeq, rootPlan, None)
-    result.setTagValue(Tag, true)
+    val lowered = new Lower(irPlan, scanLeaf).result
+
+    // 6. Rename the result's columns to the original output.
+    val col = (cq.output ++ aggSpecs.map(_.alias)).zip(lowered.output).toMap
+    val result = LProject(agg.aggregateExpressions.zip(outCols).map {
+      case (ne, GroupOut(a)) => Alias(col(clsOf(a)), ne.name)(exprId = ne.exprId)
+      case (ne, a: AggOut)   => Alias(col(s"a${aggCols.indexOf(a)}"), ne.name)(exprId = ne.exprId)
+    }, lowered)
 
     // 7. Only accept schema-identical rewrites.
     val same = result.output.size == agg.output.size &&
@@ -139,33 +143,24 @@ object YannakakisPlusRule extends Rule[LogicalPlan] {
     */
   private def collectJoins(plan: LogicalPlan)
       : (Vector[LogicalPlan], Vector[(Attribute, Attribute)]) = plan match {
-    case LJoin(l, r, Inner, cond, _) if isEquiConjunction(cond) =>
+    case LJoin(l, r, Inner, Some(cond), _) if equiPairs(cond).isDefined =>
       val (ll, le) = collectJoins(l)
       val (rl, re) = collectJoins(r)
-      (ll ++ rl, le ++ re ++ splitEqualities(cond))
+      (ll ++ rl, le ++ re ++ equiPairs(cond).get)
     case p @ LProject(list, child)
         if list.forall(_.isInstanceOf[AttributeReference]) =>
       collectJoins(child)
     case other => (Vector(other), Vector.empty)
   }
 
-  private def isEquiConjunction(cond: Option[Expression]): Boolean = cond match {
-    case None => false
-    case Some(e) => splitConjuncts(e).forall {
-      case EqualTo(_: AttributeReference, _: AttributeReference) => true
-      case _ => false
+  /** The conjuncts of `cond` as attribute pairs, if all are `attr = attr`. */
+  private def equiPairs(cond: Expression): Option[Vector[(Attribute, Attribute)]] = {
+    val conjuncts = splitConjunctivePredicates(cond)
+    val eqs = conjuncts.collect {
+      case EqualTo(a: AttributeReference, b: AttributeReference) => (a: Attribute, b: Attribute)
     }
+    if (eqs.size == conjuncts.size) Some(eqs.toVector) else None
   }
-
-  private def splitConjuncts(e: Expression): Seq[Expression] = e match {
-    case And(l, r) => splitConjuncts(l) ++ splitConjuncts(r)
-    case other     => Seq(other)
-  }
-
-  private def splitEqualities(cond: Option[Expression]): Vector[(Attribute, Attribute)] =
-    cond.toVector.flatMap(splitConjuncts(_).collect {
-      case EqualTo(a: AttributeReference, b: AttributeReference) => (a, b)
-    })
 
   /** Union-find over equalities; returns exprId -> class name. */
   private def unionFind(eqs: Vector[(Attribute, Attribute)]): Map[ExprId, String] = {
@@ -182,37 +177,24 @@ object YannakakisPlusRule extends Rule[LogicalPlan] {
   // ------------------------------------------------- aggregate decomp --
 
   private sealed trait OutCol
-  private final case class GroupOut(attr: AttributeReference, name: String,
-                                    exprId: ExprId) extends OutCol {
-    def this(a: AttributeReference) = this(a, a.name, a.exprId)
-  }
-  private object GroupOut {
-    def apply(a: AttributeReference): GroupOut = GroupOut(a, a.name, a.exprId)
-  }
+  private final case class GroupOut(attr: AttributeReference) extends OutCol
 
-  /** One supported aggregate: its semiring role, per-leaf source
-    * expressions, and how to fold/finish the annotation at the top.
+  /** One supported aggregate: its semiring and per-leaf source
+    * expressions; the lowering folds and finishes it with the semiring.
     */
   private final case class AggOut(
-      name: String, exprId: ExprId, semiring: Semiring,
-      sources: Vector[(String, Expression)], // (leafId, annotation expr)
-      annotType: DataType,
-      foldFn: Expression => AggregateFunction,
-      finishFn: Expression => Expression) extends OutCol {
-    def fold(v: Expression): Expression = finishFn(foldFn(v).toAggregateExpression())
-  }
+      semiring: Semiring,
+      sources: Vector[(String, Expression)]) // (leafId, annotation expr)
+    extends OutCol
 
   private def decompose(ne: NamedExpression, groupAttrs: Seq[AttributeReference],
                         leafOf: Map[ExprId, String]): Option[OutCol] = ne match {
     case a: AttributeReference if groupAttrs.exists(_.exprId == a.exprId) =>
       Some(GroupOut(a))
-    case Alias(a: AttributeReference, name)
-        if groupAttrs.exists(_.exprId == a.exprId) =>
-      Some(GroupOut(a, name, ne.exprId))
-    case al @ Alias(AggregateExpression(fn, Complete, false, None, _), name) =>
-      decomposeFn(fn, leafOf).map { case (sr, srcs, tpe, fold, fin) =>
-        AggOut(name, al.exprId, sr, srcs, tpe, fold, fin)
-      }
+    case Alias(a: AttributeReference, _) if groupAttrs.exists(_.exprId == a.exprId) =>
+      Some(GroupOut(a))
+    case Alias(AggregateExpression(fn, Complete, false, None, _), _) =>
+      decomposeFn(fn, leafOf).map((AggOut.apply _).tupled)
     case _ => None
   }
 
@@ -222,15 +204,16 @@ object YannakakisPlusRule extends Rule[LogicalPlan] {
     else None
   }
 
+  /** The semiring and annotation sources of a supported aggregate. Sources
+    * carry the aggregate's own type (e.g. SUM over longs stays long), which
+    * the lowering reads off the scan leaves.
+    */
   private def decomposeFn(fn: AggregateFunction, leafOf: Map[ExprId, String])
-      : Option[(Semiring, Vector[(String, Expression)], DataType,
-                Expression => AggregateFunction, Expression => Expression)] = {
+      : Option[(Semiring, Vector[(String, Expression)])] = {
     def noDecimal(e: Expression): Boolean = !e.dataType.isInstanceOf[DecimalType]
     fn match {
       case Count(Seq(Literal(_, _))) =>
-        Some((Semiring.CountProduct, Vector.empty, LongType,
-          (v: Expression) => Sum(v),
-          (v: Expression) => Coalesce(Seq(v, Literal(0L)))))
+        Some((Semiring.CountProduct, Vector.empty))
       case Sum(e, _) if noDecimal(e) =>
         val tpe = Sum(e).dataType
         val sources: Option[Vector[(String, Expression)]] = singleLeaf(e, leafOf) match {
@@ -245,124 +228,12 @@ object YannakakisPlusRule extends Rule[LogicalPlan] {
             case _ => None
           }
         }
-        sources.map { s =>
-          (Semiring.SumProduct, s, tpe,
-            (v: Expression) => Sum(v), (v: Expression) => v)
-        }
+        sources.map(Semiring.SumProduct -> _)
       case Min(e) if noDecimal(e) =>
-        singleLeaf(e, leafOf).map { l =>
-          (Semiring.MinSum, Vector(l -> e), e.dataType,
-            (v: Expression) => Min(v), (v: Expression) => v)
-        }
+        singleLeaf(e, leafOf).map(l => (Semiring.MinSum, Vector(l -> e)))
       case Max(e) if noDecimal(e) =>
-        singleLeaf(e, leafOf).map { l =>
-          (Semiring.MaxSum, Vector(l -> e), e.dataType,
-            (v: Expression) => Max(v), (v: Expression) => v)
-        }
+        singleLeaf(e, leafOf).map(l => (Semiring.MaxSum, Vector(l -> e)))
       case _ => None
-    }
-  }
-
-  // ------------------------------------------------------- translator --
-
-  /** Translates IR operators to Catalyst plans. For each operator we track
-    * (plan, class -> attribute, annotIdx -> attribute).
-    */
-  private final class Translator(cq: CQ, leaves: Vector[Leaf],
-                                 relevant: Map[String, Vector[Attribute]],
-                                 clsOf: Attribute => String,
-                                 aggCols: Vector[AggOut]) {
-
-    private val leafById = leaves.map(l => l.id -> l).toMap
-    private val memo =
-      collection.mutable.Map.empty[Op, (LogicalPlan, Map[String, Attribute], Map[Int, Attribute])]
-
-    def translate(op: Op): (LogicalPlan, Map[String, Attribute], Map[Int, Attribute]) =
-      memo.getOrElseUpdate(op, op match {
-        case s: Scan      => scan(s)
-        case p: Project   => project(p)
-        case j: Join      => join(j)
-        case sj: SemiJoin => semi(sj)
-      })
-
-    private def scan(s: Scan): (LogicalPlan, Map[String, Attribute], Map[Int, Attribute]) = {
-      val leaf = leafById(s.atomId)
-      val attrs = relevant(s.atomId)
-      val annots = aggCols.zipWithIndex.flatMap { case (a, i) =>
-        a.sources.find(_._1 == s.atomId).map { case (_, e) =>
-          i -> Alias(e, s"__v$i")()
-        }
-      }
-      val proj = LProject((attrs ++ annots.map(_._2)).toSeq, leaf.plan)
-      (proj,
-        attrs.map(a => clsOf(a) -> (a: Attribute)).toMap,
-        annots.map { case (i, al) => i -> al.toAttribute }.toMap)
-    }
-
-    private def project(p: Project): (LogicalPlan, Map[String, Attribute], Map[Int, Attribute]) = {
-      val (child, am, vm) = translate(p.child)
-      val keepAttrs = p.keep.map(am)
-      if (!p.dedupe) {
-        val cols = keepAttrs ++ p.child.annots.toVector.sorted.map(vm)
-        (LProject(cols.toSeq, child),
-          p.keep.map(c => c -> am(c)).toMap,
-          p.child.annots.toVector.sorted.map(i => i -> vm(i)).toMap)
-      } else {
-        val present = p.child.annots.toVector.sorted.map { i =>
-          i -> Alias(fold(i, vm(i)), s"__v$i")()
-        }
-        val counted = (cq.sumLikeAnnots -- p.child.annots).toVector.sorted.map { i =>
-          val cnt = Count(Literal(1)).toAggregateExpression()
-          i -> Alias(Cast(cnt, aggCols(i).annotType), s"__v$i")()
-        }
-        val aggList = keepAttrs.map(a => a: NamedExpression) ++
-          (present ++ counted).map(_._2)
-        val plan = Aggregate(keepAttrs.toSeq, aggList.toSeq, child, None)
-        plan.setTagValue(Tag, true)
-        (plan,
-          p.keep.map(c => c -> am(c)).toMap,
-          (present ++ counted).map { case (i, al) => i -> al.toAttribute }.toMap)
-      }
-    }
-
-    private def fold(i: Int, v: Attribute): Expression =
-      aggCols(i).foldFn(v).toAggregateExpression()
-
-    private def join(j: Join): (LogicalPlan, Map[String, Attribute], Map[Int, Attribute]) = {
-      val (l, lam, lvm) = translate(j.left)
-      val (r, ram, rvm) = translate(j.right)
-      val common = j.left.attrs.filter(j.right.attrSet)
-      val cond = common.map(c => EqualTo(lam(c), ram(c)): Expression)
-        .reduceOption(And)
-      val joined = LJoin(l, r, Inner, cond, JoinHint.NONE)
-      // Merge annotations; keep the left attribute for shared classes.
-      val am = ram.map { case (c, a) => c -> lam.getOrElse(c, a) }  ++ lam
-      val annots = (j.left.annots ++ j.right.annots).toVector.sorted.map { i =>
-        (lvm.get(i), rvm.get(i)) match {
-          case (Some(a), Some(b)) =>
-            val times = cq.aggs(i).semiring match {
-              case Semiring.SumProduct | Semiring.CountProduct => Multiply(a, b)
-              case _ => throw new IllegalStateException("single-source annotation on both sides")
-            }
-            i -> Alias(times, s"__v$i")()
-          case (Some(a), None) => i -> Alias(a, s"__v$i")()
-          case (None, Some(b)) => i -> Alias(b, s"__v$i")()
-          case _ => throw new IllegalStateException("missing annotation")
-        }
-      }
-      val attrCols = j.attrs.map(am)
-      val proj = LProject((attrCols.map(a => a: NamedExpression) ++ annots.map(_._2)).toSeq, joined)
-      (proj, j.attrs.map(c => c -> am(c)).toMap,
-        annots.map { case (i, al) => i -> al.toAttribute }.toMap)
-    }
-
-    private def semi(sj: SemiJoin): (LogicalPlan, Map[String, Attribute], Map[Int, Attribute]) = {
-      val (l, lam, lvm) = translate(sj.left)
-      val (r, ram, _) = translate(sj.right)
-      val common = sj.left.attrs.filter(sj.right.attrSet)
-      val cond = common.map(c => EqualTo(lam(c), ram(c)): Expression)
-        .reduceOption(And)
-      (LJoin(l, r, LeftSemi, cond, JoinHint.NONE), lam, lvm)
     }
   }
 }

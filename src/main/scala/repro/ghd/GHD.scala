@@ -23,9 +23,7 @@ object GHD {
       memberIds.flatMap(cq.atom(_).attrs).distinct
   }
 
-  final case class Decomposition(bags: Vector[Bag]) {
-    def maxBagSize: Int = bags.map(_.memberIds.size).max
-  }
+  final case class Decomposition(bags: Vector[Bag])
 
   /** All partitions of the atoms into connected groups (each of size ≤
     * `maxBag`) whose bag hypergraph is acyclic, capped. Exhaustive for the

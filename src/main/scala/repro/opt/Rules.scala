@@ -57,14 +57,8 @@ object CycleElimination {
         val fin: DataFrame => DataFrame = { df =>
           val filtered = df.filter(col(x) === col(fresh))
           if (cq.aggs.nonEmpty) {
-            val reaggs = cq.aggs.map(a => a.semiring match {
-              case Semiring.CountProduct => sum(col(a.alias)).cast("long").as(a.alias)
-              case s => s.plus(col(a.alias)).as(a.alias)
-            })
-            val g =
-              if (cq.output.isEmpty) filtered.groupBy()
-              else filtered.groupBy(cq.output.map(col): _*)
-            g.agg(reaggs.head, reaggs.tail: _*)
+            val reaggs = cq.aggs.map(a => a.semiring.plus(col(a.alias)).as(a.alias))
+            filtered.groupBy(cq.output.map(col): _*).agg(reaggs.head, reaggs.tail: _*)
               .select(cq.output.map(col) ++ cq.aggs.map(a => col(a.alias)): _*)
           } else if (cq.distinctOutput) {
             filtered.select(cq.output.map(col): _*).distinct()

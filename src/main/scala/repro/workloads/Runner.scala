@@ -1,5 +1,7 @@
 package repro.workloads
 
+import java.lang.ref.SoftReference
+
 import org.apache.spark.sql.DataFrame
 import repro.core._
 import repro.ghd.GHD
@@ -67,13 +69,21 @@ object Runner {
   // Statistics caches — a DBMS keeps table statistics up front (the
   // paper's optimizer reads them from the engine), so repeated runs over
   // the same bound instances must not recollect them. Keyed by the
-  // identity of the instance map.
-  private val statsCache =
-    collection.concurrent.TrieMap.empty[Int, Map[String, AtomStats]]
-  private val exactCache = collection.concurrent.TrieMap.empty[Int, ExactCE]
+  // instance map itself (its DataFrames compare by reference) and held
+  // weakly, so an entry goes away with its instances. An ExactCE holds
+  // its instances, so it is held softly: a strong value would keep its
+  // own key alive.
+  private val statsCache = new java.util.WeakHashMap[CQ.Instances, Map[String, AtomStats]]
+  private val exactCache = new java.util.WeakHashMap[CQ.Instances, SoftReference[ExactCE]]
 
   def cachedStats(cq: CQ, inst: CQ.Instances): Map[String, AtomStats] =
-    statsCache.getOrElseUpdate(System.identityHashCode(inst), Stats.collect(cq, inst))
+    statsCache.synchronized(statsCache.computeIfAbsent(inst, _ => Stats.collect(cq, inst)))
+
+  private def cachedExact(cq: CQ, inst: CQ.Instances): ExactCE = exactCache.synchronized {
+    Option(exactCache.get(inst)).flatMap(r => Option(r.get)).getOrElse {
+      val ce = new ExactCE(cq, inst); exactCache.put(inst, new SoftReference(ce)); ce
+    }
+  }
 
   /** Choose a Yannakakis+ plan: cost-based over the enumerated join trees
     * when `optimize`, else the deterministic default tree.
@@ -85,8 +95,7 @@ object Runner {
     val stats = cachedStats(cq, inst)
     val ce: CardEstimator = ceMode match {
       case CeEstimated => new EstimatedCE(cq, stats)
-      case CeAccurate  =>
-        exactCache.getOrElseUpdate(System.identityHashCode(inst), new ExactCE(cq, inst))
+      case CeAccurate  => cachedExact(cq, inst)
       case CeWorstCase => new WorstCaseCE(cq, stats, cfg)
       case CeFlat      => CardEstimator.Flat
     }

@@ -1,9 +1,11 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.catalyst.plans.logical.{Join => LJoin, LogicalPlan}
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.core.catalyst.{YannakakisPlusExtension, YannakakisPlusRule}
+import repro.workloads.{TpchLite, Workload}
 
 /** The Catalyst `Rule[LogicalPlan]` integration: an Aggregate over an
   * acyclic inner-equi-join tree is rewritten into the Yannakakis+ DAG
@@ -116,4 +118,61 @@ class CatalystRuleSpec extends SparkSpec {
 
   private def canonPlan(p: org.apache.spark.sql.catalyst.plans.logical.LogicalPlan): String =
     p.treeString
+
+  /** The optimized plan of `sql` with the rule installed. */
+  private def optimizedWithRule(sql: String): LogicalPlan = {
+    views
+    YannakakisPlusExtension.install(spark)
+    try spark.sql(sql).queryExecution.optimizedPlan
+    finally YannakakisPlusExtension.uninstall(spark)
+  }
+
+  private def rewritten(plan: LogicalPlan): Boolean =
+    plan.find(_.getTagValue(YannakakisPlusRule.Tag).contains(true)).isDefined
+
+  /** The rule's output is never re-analyzed, so no join may see one
+    * attribute id on both of its sides.
+    */
+  private def assertDistinctJoinSides(plan: LogicalPlan): Unit = plan.foreach {
+    case j: LJoin =>
+      val shared = j.left.outputSet.intersect(j.right.outputSet)
+      assert(shared.isEmpty, s"join sides share $shared in\n$j")
+    case _ =>
+  }
+
+  private lazy val tpchTables = TpchLite.tables(spark, sf = 0.002)
+
+  /** Registers the query's instances as views (atom ids repeat across
+    * queries with different columns) and returns its native SQL.
+    */
+  private def tpch(q: TpchLite.Tables => Workload): String = {
+    val w = q(tpchTables)
+    w.instances.foreach { case (id, df) => df.createOrReplaceTempView(id) }
+    w.cq.sparkSql
+  }
+
+  test("TPC-H-lite q3 is rewritten and matches") {
+    val sql = tpch(TpchLite.q3(_))
+    compare(sql)
+    assertDistinctJoinSides(optimizedWithRule(sql))
+  }
+
+  test("TPC-H-lite q9 is rewritten and matches") {
+    val sql = tpch(TpchLite.q9(_))
+    compare(sql)
+    assertDistinctJoinSides(optimizedWithRule(sql))
+  }
+
+  test("TPC-H-lite q5 (cyclic) is left untouched") {
+    val sql = tpch(TpchLite.q5(_))
+    compare(sql, expectRewrite = false)
+    assert(!rewritten(optimizedWithRule(sql)))
+  }
+
+  test("acyclic self-join (one view three times) is rewritten and matches") {
+    val sql = "SELECT x.a, COUNT(*) AS cnt FROM ab x, ab y, ab z " +
+      "WHERE x.b = y.a AND y.b = z.a GROUP BY x.a"
+    compare(sql)
+    assertDistinctJoinSides(optimizedWithRule(sql))
+  }
 }

@@ -136,6 +136,24 @@ class ExecutorSpec extends SparkSpec {
     res.cleanup()
   }
 
+  test("atoms bound to one DataFrame stay distinct without the analyzer") {
+    // e1 and e2 are the very same DataFrame (a self-join on both columns)
+    val cq = CQ("self", Vector(
+      Atom("e1", Vector("a", "b")), Atom("e2", Vector("a", "b")),
+      Atom("e3", Vector("b", "c"))), Vector("a"), Fixtures.count())
+    val edges = df2(("a", "b"), (1L, 2L), (2L, 3L), (3L, 1L), (2L, 1L), (1L, 3L))
+    val inst = Map("e1" -> edges, "e2" -> edges, "e3" -> edges.toDF("b", "c"))
+    val res = Executor.run(YannakakisPlus.plan(cq), inst)
+    // the lowered plan as handed to Spark, before analysis
+    res.df.queryExecution.logical.foreach {
+      case j: org.apache.spark.sql.catalyst.plans.logical.Join =>
+        assert(j.left.outputSet.intersect(j.right.outputSet).isEmpty, s"shared ids in\n$j")
+      case _ =>
+    }
+    repro.Oracle.assertEquivalent(res.df, cq.oracleSql, inst.toSeq: _*)
+    res.cleanup()
+  }
+
   test("shared operators are persisted exactly once") {
     val cq = cqCnt.copy(output = Vector("y"))
     val shared = Plan.project(cq, Plan.scan(cq, "a"), Vector("y"))
@@ -144,6 +162,21 @@ class ExecutorSpec extends SparkSpec {
       "a" -> df2(("x", "y"), (1L, 2L)), "b" -> df2(("y", "z"), (2L, 3L)))
     val res = Executor.run(plan, inst)
     assert(res.persisted.size == 1)
+    res.cleanup()
+  }
+
+  test("the result reads a shared operator from its cache") {
+    val cq = cqCnt.copy(output = Vector("y"))
+    val shared = Plan.project(cq, Plan.scan(cq, "a"), Vector("y"))
+    val plan = Plan(cq, Join(SemiJoin(Plan.scan(cq, "b"), shared), shared))
+    val inst = Map(
+      "a" -> df2(("x", "y"), (1L, 2L), (3L, 2L)), "b" -> df2(("y", "z"), (2L, 3L)))
+    val res = Executor.run(plan, inst)
+    val cached = res.df.queryExecution.withCachedData.collect {
+      case r: org.apache.spark.sql.execution.columnar.InMemoryRelation => r
+    }
+    assert(cached.size == 2, res.df.queryExecution.withCachedData) // both uses of `shared`
+    assert(res.df.collect().toSet == Set(Row(2L, 2L)))
     res.cleanup()
   }
 }

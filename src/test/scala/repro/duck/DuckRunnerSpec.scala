@@ -1,6 +1,6 @@
 package repro.duck
 
-import repro.SparkSpec
+import repro.{Oracle, SparkSpec}
 import repro.core._
 import repro.core.Fixtures._
 import repro.core.TestData
@@ -56,6 +56,32 @@ class DuckRunnerSpec extends SparkSpec {
       Vector("x"),
       Vector(AggSpec("s", Semiring.SumProduct, Map("a" -> "v", "b" -> "w"))))
     checkBoth(cq, TestData.instances(spark, cq, rows = 150, dom = 8))
+  }
+
+  test("a semi-join on two attributes runs as a DuckDB script and matches the oracle") {
+    val cq = CQ("sj2", Vector(
+      Atom("a", Vector("x", "y", "z")), Atom("b", Vector("x", "y", "w"))),
+      Vector("z"), count())
+    // a ⋉_{x,y} b, then joined with π_{x,y} b (its count annotation)
+    val plan = Plan(cq, Join(
+      SemiJoin(Plan.scan(cq, "a"), Plan.scan(cq, "b")),
+      Plan.project(cq, Plan.scan(cq, "b"), Vector("x", "y"))))
+    val inst = TestData.instances(spark, cq, rows = 150, dom = 4)
+    val d = new DuckRunner
+    try {
+      d.loadInstances(inst)
+      val (n, _) = d.runScript(plan)
+      val script = SqlGen.script(plan, SqlGen.DuckDialect)
+      script.statements.foreach(d.conn.createStatement().execute)
+      val (_, scriptRows) = d.fetch(script.finalQuery)
+      val (_, nativeRows) = d.fetch(cq.flatSql(duck = false))
+      assert(n == nativeRows.size && n > 0)
+      assert(canonDuck(scriptRows) == canonDuck(nativeRows), "duck script vs duck native")
+      assert(canonDuck(scriptRows) == canonSpark(cq, inst), "duck script vs spark executor")
+      val res = Executor.run(plan, inst)
+      try Oracle.assertEquivalent(res.df, cq.oracleSql, inst.toSeq: _*)
+      finally res.cleanup()
+    } finally d.close()
   }
 
   test("timings are reported positive") {

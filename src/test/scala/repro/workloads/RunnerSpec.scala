@@ -77,6 +77,19 @@ class RunnerSpec extends SparkSpec {
     assert(s1 eq s2)
   }
 
+  test("distinct instance maps over different atoms get their own stats") {
+    import spark.implicits._
+    val cqA = CQ("ra", Vector(Atom("a", Vector("x"))), Vector("x"))
+    val cqB = CQ("rb", Vector(Atom("b", Vector("y"))), Vector("y"))
+    val instA: CQ.Instances = Map("a" -> Seq(1L, 2L, 3L).toDF("x"))
+    val instB: CQ.Instances = Map("b" -> Seq(1L, 2L, 3L, 4L, 5L).toDF("y"))
+    val sA = Runner.cachedStats(cqA, instA)
+    val sB = Runner.cachedStats(cqB, instB)
+    assert(sA.keySet == Set("a") && sA("a").rows == 3.0)
+    assert(sB.keySet == Set("b") && sB("b").rows == 5.0)
+    assert(Runner.cachedStats(cqA, instA) eq sA)
+  }
+
   test("PlusSql and Plus agree with each other on Q10") {
     val w = TpchLite.q10(t)
     val a = Runner.run(w, Runner.Plus)
