@@ -43,27 +43,21 @@ private[repro] object PlannerUtil {
       (if (rSurvive) rKeys else Set.empty[Set[String]]) ++ paired
   }
 
-  /** `π_keep` as an aggregating projection, downgraded to pure column
-    * pruning when `keep` provably holds a unique key (aggregation
-    * elimination, paper §5.1) — annotations must all be present for the
-    * downgrade to be sound only when sum-like annotations would otherwise
-    * need a count… pruning keeps exactly the child's annotations, which is
-    * correct because a unique key means every group has one row.
+  /** Replaces `n`'s relation by its projection onto `keep`, built as by
+    * [[projectedCopy]].
     */
   def projectNode(cq: CQ, cfg: RuleConfig, n: Node, keep: Vector[String]): Unit = {
-    if (keep == n.attrs) return
-    val unique = cfg.aggElimination && n.keys.exists(_.subsetOf(keep.toSet))
-    if (unique) {
-      n.op = Plan.prune(n.op, keep)
-      n.keys = keysAfterProject(n.keys, keep.toSet, dedupe = false)
-    } else {
-      n.op = Plan.project(cq, n.op, keep)
-      n.keys = keysAfterProject(n.keys, keep.toSet, dedupe = true)
-    }
+    val (op, keys) = projectedCopy(cq, cfg, n, keep)
+    n.op = op
+    n.keys = keys
   }
 
-  /** Projection of a node's relation used as the *right side* of an
-    * aggregation-join (`π_{A_p} R_i`), returned as a fresh operator.
+  /** `π_keep` of a node's relation as a fresh operator, with its keys: the
+    * node's own operator when `keep` is all of its attributes, pure column
+    * pruning when `keep` holds a unique key (aggregation elimination, paper
+    * §5.1: every group then has one row, so the child's annotations pass
+    * through unchanged), else an aggregating projection. Also the *right
+    * side* of an aggregation-join (`π_{A_p} R_i`).
     */
   def projectedCopy(cq: CQ, cfg: RuleConfig, n: Node, keep: Vector[String]): (Op, Set[Set[String]]) = {
     if (keep == n.attrs) (n.op, n.keys)

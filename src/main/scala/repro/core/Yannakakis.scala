@@ -24,6 +24,8 @@ object Yannakakis {
     cq.atoms.foreach(a => nodes(a.id) = nodeFor(cq, a.id, cfg))
     val parent = tree.parents
     val post = tree.postOrder
+    // each node's children, in tree order (post-order lists them so)
+    val children = post.dropRight(1).groupBy(parent)
 
     // Pass 1: bottom-up semi-joins.
     post.dropRight(1).foreach { i =>
@@ -33,7 +35,7 @@ object Yannakakis {
     // Pass 2: top-down semi-joins (pre-order = reversed post-order works:
     // each parent is visited before its children).
     post.reverse.foreach { i =>
-      childrenOf(tree, i).foreach { c =>
+      children.getOrElse(i, Vector.empty).foreach { c =>
         nodes(c).op = SemiJoin(nodes(c).op, nodes(i).op)
       }
     }
@@ -51,11 +53,4 @@ object Yannakakis {
 
   /** Plan over the default join tree. */
   def plan(cq: CQ): Plan = plan(cq, JoinTree.defaultTree(cq))
-
-  private def childrenOf(tree: RootedTree, id: String): Vector[String] = {
-    def find(t: RootedTree): Option[RootedTree] =
-      if (t.atomId == id) Some(t)
-      else t.children.iterator.flatMap(find).nextOption()
-    find(tree).map(_.children.map(_.atomId)).getOrElse(Vector.empty)
-  }
 }

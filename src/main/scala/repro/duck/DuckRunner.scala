@@ -1,6 +1,6 @@
 package repro.duck
 
-import java.sql.{Connection, DriverManager}
+import java.sql.{Connection, DriverManager, ResultSet, Statement}
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.types._
 import repro.core.{CQ, Plan, SqlGen}
@@ -34,10 +34,10 @@ final class DuckRunner extends AutoCloseable {
   def load(name: String, df: DataFrame): Unit = {
     val schema = df.schema
     val cols = schema.fields.map(f => s"${f.name} ${duckType(f.dataType)}").mkString(", ")
-    val st = conn.createStatement()
-    st.execute(s"DROP TABLE IF EXISTS $name")
-    st.execute(s"CREATE TABLE $name ($cols)")
-    st.close()
+    withStatement { st =>
+      st.execute(s"DROP TABLE IF EXISTS $name")
+      st.execute(s"CREATE TABLE $name ($cols)")
+    }
     val appendable = schema.fields.forall(f => f.dataType match {
       case LongType | IntegerType | DoubleType | FloatType | StringType | BooleanType => true
       case _ => false
@@ -45,9 +45,7 @@ final class DuckRunner extends AutoCloseable {
     if (appendable) {
       try { appendLoad(name, df); return }
       catch {
-        case _: Exception =>
-          val st2 = conn.createStatement()
-          st2.execute(s"DELETE FROM $name"); st2.close()
+        case _: Exception => withStatement(_.execute(s"DELETE FROM $name"))
       }
     }
     batchLoad(name, df)
@@ -97,48 +95,58 @@ final class DuckRunner extends AutoCloseable {
     inst.foreach { case (n, df) => load(n, df) }
 
   /** Run a rewritten plan: all view DDLs then the final query; returns
-    * the row count and wall time of the execution phase.
+    * the row count and wall time of the execution phase. The script's
+    * views are dropped afterwards, also when a statement fails.
     */
   def runScript(plan: Plan): (Long, Double) = {
     val script = SqlGen.script(plan, SqlGen.DuckDialect)
-    val st = conn.createStatement()
-    val t0 = System.nanoTime()
-    script.statements.foreach(st.execute)
-    val rs = st.executeQuery(script.finalQuery)
-    var n = 0L
-    while (rs.next()) n += 1
-    val dt = (System.nanoTime() - t0) / 1e9
-    rs.close()
-    script.viewNames.reverse.foreach(vn => st.execute(s"DROP VIEW IF EXISTS $vn"))
-    st.close()
-    (n, dt)
+    try withStatement { st =>
+      val t0 = System.nanoTime()
+      script.statements.foreach(st.execute)
+      query(st, script.finalQuery)(drain(t0))
+    } finally withStatement { st => // a fresh one: DuckDB closes a statement that failed
+      script.viewNames.reverse.foreach(vn => st.execute(s"DROP VIEW IF EXISTS $vn"))
+    }
   }
 
   /** Run the native flat SQL; returns row count and wall seconds. */
   def runNative(cq: CQ): (Long, Double) = runSql(cq.flatSql(duck = false))
 
-  def runSql(sql: String): (Long, Double) = {
-    val st = conn.createStatement()
-    val t0 = System.nanoTime()
-    val rs = st.executeQuery(sql)
-    var n = 0L
-    while (rs.next()) n += 1
-    val dt = (System.nanoTime() - t0) / 1e9
-    rs.close(); st.close()
-    (n, dt)
-  }
+  def runSql(sql: String): (Long, Double) =
+    withStatement(st => query(st, sql)(drain(System.nanoTime())))
 
   /** Fetch full results (small queries only) as canonical string rows. */
-  def fetch(sql: String): (Vector[String], Vector[Vector[String]]) = {
+  def fetch(sql: String): (Vector[String], Vector[Vector[String]]) =
+    withStatement(st => query(st, sql) { rs =>
+      val meta = rs.getMetaData
+      val cols = (1 to meta.getColumnCount).map(meta.getColumnLabel).toVector
+      val rows = Vector.newBuilder[Vector[String]]
+      while (rs.next())
+        rows += (1 to cols.size).map(i => String.valueOf(rs.getObject(i))).toVector
+      (cols, rows.result())
+    })
+
+  /** Run `body` on a new statement, closed also on failure. */
+  private def withStatement[T](body: Statement => T): T = {
     val st = conn.createStatement()
+    try body(st)
+    finally st.close()
+  }
+
+  /** Read the result of the query `sql` with `read`; the result set is
+    * closed also on failure.
+    */
+  private def query[T](st: Statement, sql: String)(read: ResultSet => T): T = {
     val rs = st.executeQuery(sql)
-    val meta = rs.getMetaData
-    val cols = (1 to meta.getColumnCount).map(meta.getColumnLabel).toVector
-    val rows = Vector.newBuilder[Vector[String]]
-    while (rs.next())
-      rows += (1 to cols.size).map(i => String.valueOf(rs.getObject(i))).toVector
-    rs.close(); st.close()
-    (cols, rows.result())
+    try read(rs)
+    finally rs.close()
+  }
+
+  /** Count a result's rows; returns the count and the seconds since `t0`. */
+  private def drain(t0: Long)(rs: ResultSet): (Long, Double) = {
+    var n = 0L
+    while (rs.next()) n += 1
+    (n, (System.nanoTime() - t0) / 1e9)
   }
 
   def close(): Unit = conn.close()

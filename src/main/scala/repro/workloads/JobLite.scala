@@ -121,7 +121,7 @@ object JobLite {
       val cq = CQ(s"job_$name", atoms.result(), Vector.empty, aggList.toVector)
       name -> Workload(cq, inst.result(),
         RuleConfig.default.copy(uniqueKeys = keys, refIntegrity = ri),
-        shape = "star", predicates = predicates)
+        predicates = predicates)
     }
   }
 

@@ -71,8 +71,7 @@ object LsqbLite {
             "ci1" -> Set(Set("ct1")), "ci2" -> Set(Set("ct2")),
             "p1" -> Set(Set("a")), "p2" -> Set(Set("b"))),
           refIntegrity = Set(("ci1", "co1"), ("ci2", "co2"), ("p1", "ci1"),
-            ("p2", "ci2"), ("k", "p1"), ("k", "p2"))),
-        shape = "line-7")
+            ("p2", "ci2"), ("k", "p1"), ("k", "p2"))))
     }
 
     // q2: knows → likes → hasTag path (3 many-to-many hops)
@@ -83,8 +82,7 @@ object LsqbLite {
       Workload(cq, Map(
         "k" -> inst(t.knows, "p1" -> "a", "p2" -> "b"),
         "l" -> inst(t.likes, "pid" -> "b", "postid" -> "m"),
-        "ht" -> inst(t.hasTag, "postid" -> "m", "tagid" -> "tg")),
-        shape = "line-3")
+        "ht" -> inst(t.hasTag, "postid" -> "m", "tagid" -> "tg")))
     }
 
     // q3: post → creator → city, counted per country
@@ -98,8 +96,7 @@ object LsqbLite {
         "ci" -> inst(t.city, "cityid" -> "ct", "countryid" -> "c")),
         cfg = RuleConfig.default.copy(
           uniqueKeys = Map("p" -> Set(Set("a")), "ci" -> Set(Set("ct"))),
-          refIntegrity = Set(("po", "p"), ("p", "ci"))),
-        shape = "line-3")
+          refIntegrity = Set(("po", "p"), ("p", "ci"))))
     }
 
     // q4: knows-triangle (cyclic → GHD)
@@ -111,8 +108,7 @@ object LsqbLite {
       Workload(cq, Map(
         "k1" -> k,
         "k2" -> inst(t.knows, "p1" -> "b", "p2" -> "c"),
-        "k3" -> inst(t.knows, "p1" -> "c", "p2" -> "a")),
-        shape = "triangle")
+        "k3" -> inst(t.knows, "p1" -> "c", "p2" -> "a")))
     }
 
     // q5: triangle with a likes tail (cyclic)
@@ -125,8 +121,7 @@ object LsqbLite {
         "k1" -> inst(t.knows, "p1" -> "a", "p2" -> "b"),
         "k2" -> inst(t.knows, "p1" -> "b", "p2" -> "c"),
         "k3" -> inst(t.knows, "p1" -> "c", "p2" -> "a"),
-        "l" -> inst(t.likes, "pid" -> "a", "postid" -> "m")),
-        shape = "triangle+tail")
+        "l" -> inst(t.likes, "pid" -> "a", "postid" -> "m")))
     }
 
     // q6: star on person: knows + likes + city
@@ -140,8 +135,7 @@ object LsqbLite {
         "l" -> inst(t.likes, "pid" -> "a", "postid" -> "m")),
         cfg = RuleConfig.default.copy(
           uniqueKeys = Map("p" -> Set(Set("a"))),
-          refIntegrity = Set(("k", "p"), ("l", "p"))),
-        shape = "star")
+          refIntegrity = Set(("k", "p"), ("l", "p"))))
     }
 
     // q7: knows path of length 4 (pure many-to-many)
@@ -154,8 +148,7 @@ object LsqbLite {
         "k1" -> inst(t.knows, "p1" -> "a", "p2" -> "b"),
         "k2" -> inst(t.knows, "p1" -> "b", "p2" -> "c"),
         "k3" -> inst(t.knows, "p1" -> "c", "p2" -> "d"),
-        "k4" -> inst(t.knows, "p1" -> "d", "p2" -> "e")),
-        shape = "line-4")
+        "k4" -> inst(t.knows, "p1" -> "d", "p2" -> "e")))
     }
 
     // q8: likes(p,m), knows(p,q), likes(q,m) — cyclic triangle over
@@ -169,8 +162,7 @@ object LsqbLite {
         "l1" -> inst(t.likes, "pid" -> "a", "postid" -> "m"),
         "k" -> inst(t.knows, "p1" -> "a", "p2" -> "b"),
         "l2" -> inst(t.likes, "pid" -> "b", "postid" -> "m"),
-        "ht" -> inst(t.hasTag, "postid" -> "m", "tagid" -> "tg")),
-        shape = "triangle+tail")
+        "ht" -> inst(t.hasTag, "postid" -> "m", "tagid" -> "tg")))
     }
 
     // q9: city → person → knows → person → likes → post → hasTag → tag
@@ -190,8 +182,7 @@ object LsqbLite {
         cfg = RuleConfig.default.copy(
           uniqueKeys = Map("p1" -> Set(Set("a")), "ci" -> Set(Set("ct")),
             "tg_" -> Set(Set("tg"))),
-          refIntegrity = Set(("p1", "ci"), ("k", "p1"), ("ht", "tg_"))),
-        shape = "line-6")
+          refIntegrity = Set(("p1", "ci"), ("k", "p1"), ("ht", "tg_"))))
     }
 
     Map("q1" -> q1, "q2" -> q2, "q3" -> q3, "q4" -> q4, "q5" -> q5,

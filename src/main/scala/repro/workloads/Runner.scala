@@ -7,8 +7,9 @@ import repro.core._
 import repro.ghd.GHD
 import repro.opt._
 
-/** Evaluates a [[Workload]] with one of the competing methods — the three
-  * rows of the paper's benchmark tables:
+/** Evaluates a [[Workload]] with one of the competing methods — the
+  * paper's native, Yannakakis and Yannakakis+ rows, the last deployed two
+  * ways:
   *
   *  - [[Runner.Native]]          — the engine's own plan (flat SQL through
   *                                 Catalyst);
@@ -46,24 +47,32 @@ object Runner {
           optimize: Boolean = true): RunResult = method match {
     case Native =>
       RunResult(Executor.runNative(w.cq, w.instances), None, Vector.empty)
-    case Classic =>
-      val (cq, inst, _, fin) = acyclify(w)
-      val plan = Yannakakis.plan(cq, JoinTree.defaultTree(cq))
-      val res = Executor.run(plan, inst)
-      RunResult(fin(res.df), Some(plan), Vector(() => res.cleanup()))
-    case Plus =>
-      val (cq, inst, cfg, fin) = acyclify(w)
-      val plan = planPlus(cq, inst, cfg, ceMode, optimize)
-      val res = Executor.run(plan, inst)
-      RunResult(fin(res.df), Some(plan), Vector(() => res.cleanup()))
+    case Classic | Plus =>
+      val (p, inst, fin) = plan(w, method, ceMode, optimize)
+      val res = Executor.run(p, inst)
+      RunResult(fin(res.df), Some(p), Vector(() => res.cleanup()))
     case PlusSql =>
-      val (cq, inst, cfg, fin) = acyclify(w)
-      val plan = planPlus(cq, inst, cfg, ceMode, optimize)
+      val (p, inst, fin) = plan(w, method, ceMode, optimize)
       inst.foreach { case (id, df) => df.createOrReplaceTempView(id) }
       val spark = inst.head._2.sparkSession
-      val script = SqlGen.script(plan, SqlGen.SparkDialect)
+      val script = SqlGen.script(p, SqlGen.SparkDialect)
       script.statements.foreach(spark.sql)
-      RunResult(fin(spark.sql(script.finalQuery)), Some(plan), Vector.empty)
+      RunResult(fin(spark.sql(script.finalQuery)), Some(p), Vector.empty)
+  }
+
+  /** The plan a Yannakakis method evaluates: acyclify, then the default-tree
+    * [[Yannakakis]] plan for Classic or [[planPlus]] for Plus/PlusSql.
+    * Returns the plan, the instances it reads and the finishing step for
+    * its result.
+    */
+  def plan(w: Workload, method: Method, ceMode: CeMode = CeEstimated,
+           optimize: Boolean = true): (Plan, CQ.Instances, DataFrame => DataFrame) = {
+    require(method != Native, "native evaluation has no Yannakakis plan")
+    val (cq, inst, cfg, fin) = acyclify(w)
+    val p =
+      if (method == Classic) Yannakakis.plan(cq, JoinTree.defaultTree(cq))
+      else planPlus(cq, inst, cfg, ceMode, optimize)
+    (p, inst, fin)
   }
 
   // Statistics caches — a DBMS keeps table statistics up front (the

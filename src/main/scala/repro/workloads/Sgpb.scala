@@ -40,72 +40,72 @@ object Sgpb {
       val cq = CQ("sgpb_q1a", lineAtoms(3), (1 to 4).map(i => s"x$i").toVector,
         Vector.empty, distinctOutput = false)
       val inst = lineInst(e, 3) + ("e1" -> seg(e, 1).filter(col("x1") <= 40))
-      Workload(cq, inst, shape = "line-3", predicates = 1)
+      Workload(cq, inst, predicates = 1)
     }),
     SgpbQuery("q1b", "line-3", "A", { e =>
       val cq = CQ("sgpb_q1b", lineAtoms(3), Vector("x1"), count())
-      Workload(cq, lineInst(e, 3), shape = "line-3")
+      Workload(cq, lineInst(e, 3))
     }),
     SgpbQuery("q1c", "line-3", "A", { e =>
       val cq = CQ("sgpb_q1c", lineAtoms(3), Vector("x2", "x3"))
-      Workload(cq, lineInst(e, 3), shape = "line-3")
+      Workload(cq, lineInst(e, 3))
     }),
     SgpbQuery("q2a", "dumbbell", "A", { e =>
       val cq = CQ("sgpb_q2a", dumbbellAtoms,
         (1 to 6).map(i => s"x$i").toVector, Vector.empty, distinctOutput = false)
       val inst = dumbbellInst(e) + ("r4" ->
         e.select(col("src").as("x3"), col("dst").as("x4")).filter(col("x3") <= 40))
-      Workload(cq, inst, shape = "dumbbell", predicates = 1)
+      Workload(cq, inst, predicates = 1)
     }),
     SgpbQuery("q2b", "dumbbell", "A", { e =>
       val cq = CQ("sgpb_q2b", dumbbellAtoms, Vector.empty, count())
-      Workload(cq, dumbbellInst(e), shape = "dumbbell")
+      Workload(cq, dumbbellInst(e))
     }),
     SgpbQuery("q3a", "line-3", "B", { e =>
       val cq = CQ("sgpb_q3a", lineAtoms(3), (1 to 4).map(i => s"x$i").toVector,
         Vector.empty, distinctOutput = false)
       val inst = lineInst(e, 3) + ("e2" -> seg(e, 2).filter(col("x2") <= 60))
-      Workload(cq, inst, shape = "line-3", predicates = 1)
+      Workload(cq, inst, predicates = 1)
     }),
     SgpbQuery("q3b", "line-3", "B", { e =>
       val cq = CQ("sgpb_q3b", lineAtoms(3), Vector("x4"), count())
-      Workload(cq, lineInst(e, 3), shape = "line-3")
+      Workload(cq, lineInst(e, 3))
     }),
     SgpbQuery("q3c", "line-3", "B", { e =>
       val cq = CQ("sgpb_q3c", lineAtoms(3), Vector("x1", "x2"))
-      Workload(cq, lineInst(e, 3), shape = "line-3")
+      Workload(cq, lineInst(e, 3))
     }),
     SgpbQuery("q4a", "line-5", "A", { e =>
       val cq = CQ("sgpb_q4a", lineAtoms(5), Vector("x1", "x2"))
-      Workload(cq, lineInst(e, 5), shape = "line-5")
+      Workload(cq, lineInst(e, 5))
     }),
     SgpbQuery("q4b", "line-5", "A", { e =>
       val cq = CQ("sgpb_q4b", lineAtoms(5), Vector("x1"), count())
-      Workload(cq, lineInst(e, 5), shape = "line-5")
+      Workload(cq, lineInst(e, 5))
     }),
     SgpbQuery("q5a", "line-5", "B", { e =>
       val cq = CQ("sgpb_q5a", lineAtoms(5), Vector("x5", "x6"))
-      Workload(cq, lineInst(e, 5), shape = "line-5")
+      Workload(cq, lineInst(e, 5))
     }),
     SgpbQuery("q5b", "line-5", "B", { e =>
       val cq = CQ("sgpb_q5b", lineAtoms(5), Vector("x6"), count())
-      Workload(cq, lineInst(e, 5), shape = "line-5")
+      Workload(cq, lineInst(e, 5))
     }),
     SgpbQuery("q6", "line-3", "A", { e =>
       val cq = CQ("sgpb_q6", lineAtoms(3), Vector("x1", "x4"))
-      Workload(cq, lineInst(e, 3), shape = "line-3")
+      Workload(cq, lineInst(e, 3))
     }),
     SgpbQuery("q7", "line-4", "A", { e =>
       val cq = CQ("sgpb_q7", lineAtoms(4), Vector("x1", "x5"), count())
-      Workload(cq, lineInst(e, 4), shape = "line-4")
+      Workload(cq, lineInst(e, 4))
     }),
     SgpbQuery("q8", "line-4", "B", { e =>
       val cq = CQ("sgpb_q8", lineAtoms(4), Vector("x2", "x5"), count())
-      Workload(cq, lineInst(e, 4), shape = "line-4")
+      Workload(cq, lineInst(e, 4))
     }),
     SgpbQuery("q9", "line-4", "B", { e =>
       val cq = CQ("sgpb_q9", lineAtoms(4), Vector("x1", "x4"), count())
-      Workload(cq, lineInst(e, 4), shape = "line-4")
+      Workload(cq, lineInst(e, 4))
     }),
   )
 

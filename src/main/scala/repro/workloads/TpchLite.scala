@@ -77,7 +77,7 @@ object TpchLite {
           "s" -> Set(Set("sk")), "n" -> Set(Set("nk")),
           "ps" -> Set(Set("pk_", "sk"))),
         refIntegrity = Set(("l", "s"), ("s", "n"), ("ps", "s")))
-    Workload(cq, inst0, cfg, shape = "tpch-q9", predicates = 2)
+    Workload(cq, inst0, cfg, predicates = 2)
   }
 
   /** TPC-H Q3-lite: customer(mktsegment) ⋈ orders(date) ⋈ lineitem,
@@ -99,7 +99,7 @@ object TpchLite {
       "l" -> inst(t.lineitem, "l_orderkey" -> "ok", "l_extendedprice" -> "price")),
       RuleConfig.default.copy(
         uniqueKeys = Map("c" -> Set(Set("ck")), "o" -> Set(Set("ok")))),
-      shape = "line-3", predicates = 2)
+      predicates = 2)
   }
 
   /** TPC-H Q10-lite: returned-items revenue per customer. */
@@ -123,7 +123,7 @@ object TpchLite {
         uniqueKeys = Map("c" -> Set(Set("ck")), "o" -> Set(Set("ok")),
           "n" -> Set(Set("nk"))),
         refIntegrity = Set(("c", "n"), ("o", "c"))),
-      shape = "line-4", predicates = 2)
+      predicates = 2)
   }
 
   /** TPC-H Q19-lite: part ⋈ lineitem with selective part predicates,
@@ -141,7 +141,7 @@ object TpchLite {
         "l_partkey" -> "pk_", "l_extendedprice" -> "price"),
       "p" -> inst(t.part.filter(col("p_size").between(1, 5)), "p_partkey" -> "pk_")),
       RuleConfig.default.copy(uniqueKeys = Map("p" -> Set(Set("pk_")))),
-      shape = "line-2", predicates = 2)
+      predicates = 2)
   }
 
   /** TPC-H Q5-lite (paper Example 5.2): cyclic through the
@@ -169,6 +169,6 @@ object TpchLite {
       RuleConfig.default.copy(
         uniqueKeys = Map("c" -> Set(Set("ck")), "o" -> Set(Set("ok")),
           "s" -> Set(Set("sk")), "n" -> Set(Set("nk")))),
-      shape = "cycle", predicates = 1)
+      predicates = 1)
   }
 }

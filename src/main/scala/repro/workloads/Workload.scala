@@ -10,13 +10,11 @@ import repro.core._
   *
   * @param predicates number of selection predicates pushed into the
   *                   instances (Table 6 column)
-  * @param shape      free-text shape tag ("line-3", "dumbbell", "star", …)
   */
 final case class Workload(
     cq: CQ,
     instances: CQ.Instances,
     cfg: RuleConfig = RuleConfig.default,
-    shape: String = "",
     predicates: Int = 0,
 ) {
   /** Table 6 "Type" column, derived from the query structure. */

@@ -84,6 +84,24 @@ class DuckRunnerSpec extends SparkSpec {
     } finally d.close()
   }
 
+  test("a script that fails part-way leaves none of its views behind") {
+    val cq = CQ("partial", Vector(
+      Atom("a", Vector("x", "z")), Atom("b", Vector("x", "w"))),
+      Vector("z"), count())
+    // a's scan view is created before b's, whose table is never loaded
+    val plan = Plan(cq, Join(
+      SemiJoin(Plan.scan(cq, "a"), Plan.scan(cq, "b")),
+      Plan.project(cq, Plan.scan(cq, "b"), Vector("x"))))
+    val inst = TestData.instances(spark, cq, rows = 50, dom = 4)
+    val d = new DuckRunner
+    try {
+      d.load("a", inst("a"))
+      intercept[java.sql.SQLException](d.runScript(plan))
+      val (_, views) = d.fetch("SELECT view_name FROM duckdb_views() WHERE NOT internal")
+      assert(views.isEmpty, views)
+    } finally d.close()
+  }
+
   test("timings are reported positive") {
     val d = new DuckRunner
     try {
