@@ -128,14 +128,14 @@ object Bench {
 
   /** Table 3: rule-based optimization ablation on JOB 1a and 4a. */
   def table3(spark: SparkSession, mult: Double = 2.0): Table = {
-    def rules(agg: Boolean, annot: Boolean)(c: RuleConfig): RuleConfig =
-      c.copy(aggElimination = agg, semiJoinElimination = agg, annotationPruning = annot)
+    def rules(pkFk: Boolean, annot: Boolean)(c: RuleConfig): RuleConfig =
+      c.copy(pkFk = pkFk, annotationPruning = annot)
     val variants = Seq(
       Variant("Base", Runner.Native),
-      Variant("Primitive", Runner.Plus, rules = rules(agg = false, annot = false)),
-      Variant("PK-FK", Runner.Plus, rules = rules(agg = true, annot = false)),
-      Variant("Annot", Runner.Plus, rules = rules(agg = false, annot = true)),
-      Variant("PK-FK & Annot", Runner.Plus, rules = rules(agg = true, annot = true)))
+      Variant("Primitive", Runner.Plus, rules = rules(pkFk = false, annot = false)),
+      Variant("PK-FK", Runner.Plus, rules = rules(pkFk = true, annot = false)),
+      Variant("Annot", Runner.Plus, rules = rules(pkFk = false, annot = true)),
+      Variant("PK-FK & Annot", Runner.Plus, rules = rules(pkFk = true, annot = true)))
     Table(s"Table 3 -- rule ablation on JOB-lite 1a/4a (s), mult=$mult",
       Vector("query", "engine") ++ variants.map(_.label),
       engineRows(jobGrid(spark, mult, Set("1a", "4a"), variants)))

@@ -89,8 +89,8 @@ final case class CQ(
 
   // ---------------------------------------------------------------- SQL --
 
-  /** Qualify each attribute token of `expr` with `alias.` and, for the
-    * DuckDB dialect, cast it (oracle tables are all-VARCHAR).
+  /** Qualify each attribute token of `expr` with `alias.` and, when
+    * `castTo` is given, cast it (oracle tables are all-VARCHAR).
     */
   private def qualify(expr: String, alias: String, attrs: Set[String],
                       castTo: Option[String]): String = {
@@ -104,7 +104,7 @@ final case class CQ(
     })
   }
 
-  private def aggSql(a: AggSpec, duck: Boolean): String = {
+  private def aggSql(a: AggSpec): String = {
     if (a.isCountStar) return s"COUNT(*) AS ${a.alias}"
     // Numeric aggregates are cast to DOUBLE in *both* dialects so the
     // engine-native result, the rewritten result (annotations are typed by
@@ -123,7 +123,9 @@ final case class CQ(
 
   /** The query as a single flat SQL statement over per-atom tables/views
     * named by atom id — the *native* plan handed to the engine's own
-    * optimizer, and (with `duck = true`) the oracle query for DuckDB.
+    * optimizer, and the oracle query for DuckDB. The text is the same for
+    * both engines; `duck` changes nothing and stays only because
+    * `perfbench` passes it.
     */
   def flatSql(duck: Boolean): String = {
     val from = atoms.map(a => s"${a.id}").mkString(", ")
@@ -134,7 +136,7 @@ final case class CQ(
     val where = if (conds.isEmpty) "" else conds.mkString(" WHERE ", " AND ", "")
     val outCols = output.map(x => s"${atomsWith(x).head.id}.$x AS $x")
     if (aggs.nonEmpty) {
-      val sel = (outCols ++ aggs.map(aggSql(_, duck))).mkString(", ")
+      val sel = (outCols ++ aggs.map(aggSql)).mkString(", ")
       val grp =
         if (output.isEmpty) ""
         else output.map(x => s"${atomsWith(x).head.id}.$x").mkString(" GROUP BY ", ", ", "")

@@ -12,22 +12,14 @@ import org.apache.spark.sql.functions._
   */
 object Executor {
 
-  final case class ExecResult(df: DataFrame, persisted: Seq[DataFrame],
-                              stats: Option[ExecStats]) {
+  final case class ExecResult(df: DataFrame, persisted: Seq[DataFrame]) {
     def cleanup(): Unit = persisted.foreach(_.unpersist(blocking = false))
-  }
-
-  /** Per-operator materialized cardinalities (stats mode only). */
-  final case class ExecStats(sizes: Vector[(Op, Long)]) {
-    /** Total intermediate tuples, excluding scans (Example 5.1 metric). */
-    def totalIntermediate: Long =
-      sizes.collect { case (o, n) if !o.isInstanceOf[Scan] => n }.sum
   }
 
   /** Run `plan` over the given instances; the result has the output
     * attributes plus one column per aggregate (aliased).
     */
-  def run(plan: Plan, instances: CQ.Instances, collectStats: Boolean = false): ExecResult = {
+  def run(plan: Plan, instances: CQ.Instances): ExecResult = {
     CQ.validateInstances(plan.cq, instances)
     val spark = instances.head._2.sparkSession
     val lower = new Lower(plan, scanLeaf(plan.cq, instances))
@@ -39,9 +31,7 @@ object Executor {
       case op if parentCount(op) > 1 && !op.isInstanceOf[Scan] =>
         ofRows(spark, lower(op).plan).persist()
     }
-    val stats = Option.when(collectStats)(
-      ExecStats(plan.ops.map(op => op -> ofRows(spark, lower(op).plan).count())))
-    ExecResult(ofRows(spark, lower.result), persisted, stats)
+    ExecResult(ofRows(spark, lower.result), persisted)
   }
 
   /** The scan of an atom: its attributes (re-aliased, so atoms bound to

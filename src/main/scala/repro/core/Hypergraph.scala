@@ -2,7 +2,8 @@ package repro.core
 
 /** Hypergraph structure of a CQ: atoms are hyperedges over attributes.
   * Provides the GYO reduction (acyclicity test, paper §2.2) and the atom
-  * intersection graph used for join-tree enumeration.
+  * intersection graph, whose components decide whether a GHD bag is
+  * connected.
   */
 object Hypergraph {
 

@@ -45,112 +45,79 @@ object JoinTree {
     build(rootId, None)
   }
 
-  /** Does this tree satisfy the running-intersection property — for every
-    * attribute, do the atoms containing it induce a connected subtree?
+  /** The weight every join tree has: `Σ_x (|atoms holding x| − 1)`. The
+    * edges of a spanning tree that lie inside the holders of `x` form a
+    * forest on them, so `x` adds at most `|holders(x)| − 1` to the tree's
+    * weight, with equality iff its holders are connected in the tree
+    * (Bernstein–Goodman).
     */
-  def isValid(cq: CQ, edges: Set[(String, String)]): Boolean = {
-    val adj = cq.atoms.map(a => a.id -> List.newBuilder[String]).toMap
-    edges.foreach { case (a, b) => adj(a) += b; adj(b) += a }
-    val adjm = adj.map { case (k, v) => k -> v.result() }
-    cq.attrSet.forall { x =>
-      val holders = cq.atomsWith(x).map(_.id).toSet
-      if (holders.size <= 1) true
-      else {
-        var seen = Set(holders.head); var stack = List(holders.head)
-        while (stack.nonEmpty) {
-          val v = stack.head; stack = stack.tail
-          adjm(v).filter(n => holders(n) && !seen(n)).foreach { n =>
-            seen += n; stack ::= n
-          }
-        }
-        seen == holders
-      }
-    }
-  }
+  private def joinTreeWeight(cq: CQ): Int =
+    cq.atoms.map(_.attrSet.size).sum - cq.attrSet.size
 
-  /** All spanning trees of the candidate graph, capped. The candidate
-    * edges are the intersection-graph edges; for disconnected hypergraphs
-    * cross-component (Cartesian) edges are added so a tree exists.
+  /** Does the spanning tree `edges` satisfy the running-intersection
+    * property — for every attribute, do the atoms containing it induce a
+    * connected subtree? True iff its weight reaches [[joinTreeWeight]].
     */
-  private def spanningTrees(cq: CQ, cap: Int): Vector[Set[(String, String)]] = {
+  def isValid(cq: CQ, edges: Set[(String, String)]): Boolean =
+    edges.toVector.map { case (a, b) => (cq.atom(a).attrSet & cq.atom(b).attrSet).size }
+      .sum == joinTreeWeight(cq)
+
+  /** Every *unrooted* join tree (edge set), lazily. Include/exclude
+    * backtracking over all atom pairs, heaviest first, that prunes a branch
+    * once its weight plus the heaviest edges it may still pick cannot
+    * reach [[joinTreeWeight]]; so it yields exactly the join trees. For a
+    * cyclic query it yields nothing.
+    */
+  def enumerateUnrooted(cq: CQ): LazyList[Set[(String, String)]] = {
     val n = cq.atoms.size
-    if (n == 1) return Vector(Set.empty)
     val ids = cq.atoms.map(_.id)
-    var cand = Hypergraph.intersectionEdges(cq.atoms)
-    val comps = Hypergraph.components(cq.atoms)
-    if (comps.size > 1)
-      cand ++= (for {
-        ci <- comps.indices; cj <- (ci + 1) until comps.size
-        i <- comps(ci); j <- comps(cj)
-      } yield if (i < j) (i, j) else (j, i))
+    val pairs = (for {
+      i <- 0 until n; j <- (i + 1) until n
+    } yield ((i, j), (cq.atoms(i).attrSet & cq.atoms(j).attrSet).size)).sortBy(-_._2)
+    val prefix = pairs.scanLeft(0)(_ + _._2)
+    // weight of the `count` heaviest pairs from `from` on
+    def heaviest(from: Int, count: Int): Int = prefix(from + count) - prefix(from)
+    val target = joinTreeWeight(cq)
 
-    val out = Vector.newBuilder[Set[(String, String)]]
-    var count = 0
-    // Backtracking over the candidate edge list with union-find.
-    def rec(idx: Int, parent: Array[Int], chosen: List[(Int, Int)], picked: Int): Unit = {
-      if (count >= cap) return
-      if (picked == n - 1) {
-        out += chosen.map { case (i, j) =>
-          val (a, b) = (ids(i), ids(j)); if (a < b) (a, b) else (b, a)
-        }.toSet
-        count += 1
-        return
+    def find(p: Array[Int], v: Int): Int = if (p(v) == v) v else find(p, p(v))
+    def rec(idx: Int, parent: Array[Int], chosen: List[(Int, Int)], picked: Int,
+            w: Int): Iterator[Set[(String, String)]] = {
+      val need = n - 1 - picked
+      if (need == 0) Iterator.single(chosen.map { case (i, j) =>
+        val (a, b) = (ids(i), ids(j)); if (a < b) (a, b) else (b, a)
+      }.toSet)
+      else if (idx + need > pairs.size || w + heaviest(idx, need) < target) Iterator.empty
+      else {
+        val ((i, j), wij) = pairs(idx)
+        val (ri, rj) = (find(parent, i), find(parent, j))
+        val include =
+          if (ri == rj) Iterator.empty
+          else {
+            val p2 = parent.clone(); p2(ri) = rj
+            rec(idx + 1, p2, (i, j) :: chosen, picked + 1, w + wij)
+          }
+        include ++ rec(idx + 1, parent, chosen, picked, w)
       }
-      if (idx >= cand.size || cand.size - idx < n - 1 - picked) return
-      def find(p: Array[Int], v: Int): Int = if (p(v) == v) v else find(p, p(v))
-      val (i, j) = cand(idx)
-      val (ri, rj) = (find(parent, i), find(parent, j))
-      if (ri != rj) { // include edge
-        val p2 = parent.clone(); p2(ri) = rj
-        rec(idx + 1, p2, (i, j) :: chosen, picked + 1)
-      }
-      rec(idx + 1, parent, chosen, picked) // exclude edge
     }
-    rec(0, Array.tabulate(n)(identity), Nil, 0)
-    out.result()
-  }
-
-  /** Enumerate valid *unrooted* join trees (edge sets), capped. For an
-    * acyclic CQ at least one tree is returned (spanning-tree cap permitting;
-    * the maximum-weight spanning tree is always a join tree and is seeded
-    * explicitly so capping can never drop it).
-    */
-  def enumerateUnrooted(cq: CQ, cap: Int = 400): Vector[Set[(String, String)]] = {
-    val all = (maxWeightTree(cq).toVector ++ spanningTrees(cq, cap)).distinct
-    all.filter(isValid(cq, _))
+    LazyList.from(rec(0, Array.tabulate(n)(identity), Nil, 0, 0))
   }
 
   /** Maximum-weight spanning tree (weight = #shared attributes) — a valid
-    * join tree whenever the CQ is acyclic (Bernstein–Goodman).
+    * join tree whenever the CQ is acyclic (Bernstein–Goodman). It is the
+    * first tree [[enumerateUnrooted]] yields: the path that includes every
+    * pair joining two components is Kruskal's greedy pass over the
+    * heaviest-first pairs, and no bound prunes it. None for a cyclic CQ.
     */
-  def maxWeightTree(cq: CQ): Option[Set[(String, String)]] = {
-    val n = cq.atoms.size
-    if (n == 1) return Some(Set.empty)
-    val ids = cq.atoms.map(_.id)
-    val weighted = (for {
-      i <- cq.atoms.indices; j <- (i + 1) until n
-    } yield ((i, j), (cq.atoms(i).attrSet & cq.atoms(j).attrSet).size))
-      .sortBy(-_._2)
-    val parent = Array.tabulate(n)(identity)
-    def find(v: Int): Int = if (parent(v) == v) v else { parent(v) = find(parent(v)); parent(v) }
-    var edges = Set.empty[(String, String)]
-    weighted.foreach { case ((i, j), _) =>
-      if (edges.size < n - 1 && find(i) != find(j)) {
-        parent(find(i)) = find(j)
-        val (a, b) = (ids(i), ids(j))
-        edges += (if (a < b) (a, b) else (b, a))
-      }
-    }
-    if (edges.size == n - 1) Some(edges) else None
-  }
+  def maxWeightTree(cq: CQ): Option[Set[(String, String)]] =
+    enumerateUnrooted(cq).headOption
 
-  /** All rooted valid join trees (each unrooted tree rooted at every
-    * node), capped.
+  /** All rooted join trees (each unrooted tree rooted at every node),
+    * lazily.
     */
-  def enumerateRooted(cq: CQ, cap: Int = 400): Vector[RootedTree] = {
+  def enumerateRooted(cq: CQ): LazyList[RootedTree] = {
     val nodes = cq.atoms.map(_.id).toSet
     for {
-      e <- enumerateUnrooted(cq, cap)
+      e <- enumerateUnrooted(cq)
       r <- cq.atoms.map(_.id)
     } yield root(e, nodes, r)
   }
@@ -160,10 +127,8 @@ object JoinTree {
     */
   def defaultTree(cq: CQ): RootedTree = {
     val edges = maxWeightTree(cq).getOrElse(
-      throw new IllegalArgumentException(s"${cq.name}: no spanning tree"))
+      throw new IllegalArgumentException(s"${cq.name}: cyclic — no join tree (use GHD)"))
     val nodes = cq.atoms.map(_.id).toSet
-    if (!isValid(cq, edges))
-      throw new IllegalArgumentException(s"${cq.name}: cyclic — no join tree (use GHD)")
     val rootId = cq.atoms.maxBy(a => ((a.attrSet & cq.outputSet).size, a.id))(
       Ordering.Tuple2(Ordering.Int, Ordering.String.reverse)).id
     root(edges, nodes, rootId)
@@ -187,9 +152,16 @@ object JoinTree {
     cq.outputSet.subsetOf(tn.flatMap(id => cq.atom(id).attrSet))
   }
 
-  /** Is the query free-connex — does *some* rooted join tree pass? */
-  def isFreeConnexQuery(cq: CQ, cap: Int = 400): Boolean =
-    Hypergraph.isAcyclic(cq) && enumerateRooted(cq, cap).exists(isFreeConnex(cq, _))
+  /** Is the query free-connex — does *some* rooted join tree pass? True
+    * iff both `H` and `H ∪ {O}` are acyclic (Bagan, Durand & Grandjean,
+    * CSL 2007). The first test is needed: a triangle with `O` = all of its
+    * attributes makes `H ∪ {O}` acyclic.
+    */
+  def isFreeConnexQuery(cq: CQ): Boolean = {
+    // longer than every atom id, so no atom has it
+    val outputAtom = Atom(cq.atoms.map(_.id).mkString("O(", ",", ")"), cq.output)
+    Hypergraph.isAcyclic(cq) && Hypergraph.isAcyclic(cq.atoms :+ outputAtom)
+  }
 
   /** The dominating relation of a relation-dominated query, if any. */
   def dominatingAtom(cq: CQ): Option[Atom] =

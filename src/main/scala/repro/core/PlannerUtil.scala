@@ -61,7 +61,7 @@ private[repro] object PlannerUtil {
     */
   def projectedCopy(cq: CQ, cfg: RuleConfig, n: Node, keep: Vector[String]): (Op, Set[Set[String]]) = {
     if (keep == n.attrs) (n.op, n.keys)
-    else if (cfg.aggElimination && n.keys.exists(_.subsetOf(keep.toSet)))
+    else if (cfg.pkFk && n.keys.exists(_.subsetOf(keep.toSet)))
       (Plan.prune(n.op, keep), keysAfterProject(n.keys, keep.toSet, dedupe = false))
     else
       (Plan.project(cq, n.op, keep), keysAfterProject(n.keys, keep.toSet, dedupe = true))

@@ -2,12 +2,13 @@ package repro.core
 
 /** Toggles and schema knowledge for the rule-based optimizer (paper §5.1).
   *
-  * @param aggElimination      replace ⊕-aggregating projections by pure
-  *                            column pruning when the kept attributes
-  *                            contain a unique key ("Aggregation
-  *                            Elimination")
-  * @param semiJoinElimination drop semi-joins that referential integrity
-  *                            proves to be no-ops ("Semi-join Elimination")
+  * @param pkFk                the two rules that read key facts (Table 3's
+  *                            "PK-FK" column): replace ⊕-aggregating
+  *                            projections by pure column pruning when the
+  *                            kept attributes contain a unique key
+  *                            ("Aggregation Elimination"), and drop
+  *                            semi-joins that referential integrity proves
+  *                            to be no-ops ("Semi-join Elimination")
   * @param annotationPruning   keep identity annotations implicit (absent
   *                            columns) instead of materializing them at
   *                            every scan ("Pruning for Annotation");
@@ -21,8 +22,7 @@ package repro.core
   *                            filter on `b`)
   */
 final case class RuleConfig(
-    aggElimination: Boolean = true,
-    semiJoinElimination: Boolean = true,
+    pkFk: Boolean = true,
     annotationPruning: Boolean = true,
     uniqueKeys: Map[String, Set[Set[String]]] = Map.empty,
     refIntegrity: Set[(String, String)] = Set.empty,
@@ -39,8 +39,7 @@ object RuleConfig {
 
   /** The Table 3 "Primitive" configuration: no rewrite rules at all. */
   val primitive: RuleConfig =
-    RuleConfig(aggElimination = false, semiJoinElimination = false,
-      annotationPruning = false)
+    RuleConfig(pkFk = false, annotationPruning = false)
 }
 
 /** Cardinality oracle used by the planners to order reductions and by the

@@ -1,7 +1,5 @@
 package repro.core
 
-import PlannerUtil._
-
 /** The classic Yannakakis algorithm (paper §2.3) — the baseline:
   *
   *  1. post-order semi-join pass (`R_p ← R_p ⋉ R_i`),
@@ -18,10 +16,8 @@ import PlannerUtil._
 object Yannakakis {
 
   def plan(cq: CQ, tree: RootedTree): Plan = {
-    val cfg = RuleConfig(aggElimination = false, semiJoinElimination = false,
-      annotationPruning = true)
-    val nodes = collection.mutable.Map.empty[String, Node]
-    cq.atoms.foreach(a => nodes(a.id) = nodeFor(cq, a.id, cfg))
+    val ops = collection.mutable.Map.empty[String, Op]
+    cq.atoms.foreach(a => ops(a.id) = Plan.scan(cq, a.id))
     val parent = tree.parents
     val post = tree.postOrder
     // each node's children, in tree order (post-order lists them so)
@@ -30,25 +26,23 @@ object Yannakakis {
     // Pass 1: bottom-up semi-joins.
     post.dropRight(1).foreach { i =>
       val p = parent(i)
-      nodes(p).op = SemiJoin(nodes(p).op, nodes(i).op)
+      ops(p) = SemiJoin(ops(p), ops(i))
     }
     // Pass 2: top-down semi-joins (pre-order = reversed post-order works:
     // each parent is visited before its children).
     post.reverse.foreach { i =>
       children.getOrElse(i, Vector.empty).foreach { c =>
-        nodes(c).op = SemiJoin(nodes(c).op, nodes(i).op)
+        ops(c) = SemiJoin(ops(c), ops(i))
       }
     }
     // Pass 3: bottom-up aggregation-joins.
     post.dropRight(1).foreach { i =>
       val p = parent(i)
-      val keep = nodes(i).attrs.filter(x =>
-        nodes(p).attrSet(x) || cq.outputSet(x))
-      val (proj, _) = projectedCopy(cq, cfg, nodes(i), keep)
-      nodes(p).op = Join(nodes(p).op, proj)
+      val keep = ops(i).attrs.filter(x => ops(p).attrSet(x) || cq.outputSet(x))
+      ops(p) = Join(ops(p), Plan.project(cq, ops(i), keep))
     }
-    val root = nodes(tree.atomId)
-    Plan(cq, Plan.project(cq, root.op, root.attrs.filter(cq.outputSet)))
+    val root = ops(tree.atomId)
+    Plan(cq, Plan.project(cq, root, root.attrs.filter(cq.outputSet)))
   }
 
   /** Plan over the default join tree. */

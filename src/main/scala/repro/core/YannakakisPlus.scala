@@ -46,7 +46,7 @@ object YannakakisPlus {
       * original atom pair, provided `b`'s relation is still complete.
       */
     private def semiJoinRedundant(a: String, b: String): Boolean =
-      cfg.semiJoinElimination && cfg.refIntegrity((a, b)) && nodes(b).complete
+      cfg.pkFk && cfg.refIntegrity((a, b)) && nodes(b).complete
 
     /** Algorithm 1: post-order first-round traversal. */
     def firstRound(): Unit = {

@@ -25,32 +25,22 @@ object GHD {
 
   final case class Decomposition(bags: Vector[Bag])
 
+  /** Largest bag, in atoms. */
+  private val MaxBag = 3
+
+  /** At most this many decompositions are returned. */
+  private val Cap = 200
+
   /** All partitions of the atoms into connected groups (each of size ≤
-    * `maxBag`) whose bag hypergraph is acyclic, capped. Exhaustive for the
+    * `MaxBag`) whose bag hypergraph is acyclic, capped. Exhaustive for the
     * query sizes in the benchmarks (≤ 8 atoms).
     */
-  def decompositions(cq: CQ, maxBag: Int = 3, cap: Int = 200): Vector[Decomposition] = {
-    val n = cq.atoms.size
+  def decompositions(cq: CQ): Vector[Decomposition] = {
     val out = Vector.newBuilder[Decomposition]
     var count = 0
 
-    def connected(ids: Vector[Int]): Boolean = {
-      if (ids.size <= 1) return true
-      val idSet = ids.toSet
-      var seen = Set(ids.head); var frontier = List(ids.head)
-      while (frontier.nonEmpty) {
-        val v = frontier.head; frontier = frontier.tail
-        idSet.filterNot(seen).foreach { u =>
-          if ((cq.atoms(v).attrSet & cq.atoms(u).attrSet).nonEmpty) {
-            seen += u; frontier ::= u
-          }
-        }
-      }
-      seen == idSet
-    }
-
     def rec(remaining: Vector[Int], acc: Vector[Vector[Int]]): Unit = {
-      if (count >= cap) return
+      if (count >= Cap) return
       if (remaining.isEmpty) {
         val bagAtoms = acc.zipWithIndex.map { case (g, i) =>
           Atom(s"bag$i", g.flatMap(j => cq.atoms(j).attrs).distinct)
@@ -66,10 +56,10 @@ object GHD {
       val head = remaining.head
       // head joins each subset of the rest to form its group
       val rest = remaining.tail
-      val subsets = rest.toSet.subsets().filter(_.size < maxBag).toVector
+      val subsets = rest.toSet.subsets().filter(_.size < MaxBag).toVector
       subsets.foreach { s =>
         val group = (head +: s.toVector.sorted)
-        if (connected(group))
+        if (Hypergraph.components(group.map(cq.atoms)).size == 1)
           rec(rest.filterNot(s), acc :+ group)
       }
     }
@@ -82,9 +72,8 @@ object GHD {
     * materialization size (chain-formula estimate over member stats),
     * preferring fewer/smaller bags on ties.
     */
-  def bestDecomposition(cq: CQ, stats: Map[String, AtomStats],
-                        maxBag: Int = 3, cap: Int = 200): Option[Decomposition] = {
-    val all = decompositions(cq, maxBag, cap)
+  def bestDecomposition(cq: CQ, stats: Map[String, AtomStats]): Option[Decomposition] = {
+    val all = decompositions(cq)
     if (all.isEmpty) None
     else Some(all.minBy { d =>
       (d.bags.map(bagEstimate(cq, stats, _)).sum, d.bags.size, d.toString)

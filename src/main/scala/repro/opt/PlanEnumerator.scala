@@ -2,9 +2,9 @@ package repro.opt
 
 import repro.core._
 
-/** Cost-based plan enumeration (paper §5.2): generate the valid join
-  * trees via GYO-style enumeration, prune with the paper's heuristics,
-  * plan each survivor with Yannakakis+, and keep the cheapest.
+/** Cost-based plan enumeration (paper §5.2): enumerate the join trees,
+  * prune with the paper's heuristics, plan each survivor with
+  * Yannakakis+, and keep the cheapest.
   *
   * Pruning rules (quoted from §5.2):
   *  - for queries with output attributes, require the root node to
@@ -13,11 +13,18 @@ import repro.core._
   *  - prioritize bushy plans with lower heights.
   *
   * Additionally, when the query is free-connex the search is restricted
-  * to free-connex join trees (that is what preserves the O(N+M) bound),
-  * and when it is relation-dominated, to trees rooted at a dominating
-  * relation.
+  * to free-connex rooted trees (that is what preserves the O(N+M) bound,
+  * Lemma 2.2). A relation-dominated query is free-connex, and a tree
+  * rooted at a dominating relation is one of those trees; no further
+  * restriction is made for it.
   */
 object PlanEnumerator {
+
+  /** At most this many unrooted join trees are rooted and ranked. For a
+    * free-connex query it counts only trees with a free-connex rooting, so
+    * the cap cannot drop every free-connex tree.
+    */
+  private val TreeCap = 200
 
   final case class Choice(tree: RootedTree, plan: Plan, cost: Double,
                           candidates: Int, planningMillis: Long)
@@ -25,16 +32,17 @@ object PlanEnumerator {
   def best(cq: CQ, cfg: RuleConfig = RuleConfig.default,
            ce: CardEstimator = CardEstimator.Flat,
            stats: Map[String, AtomStats] = Map.empty,
-           treeCap: Int = 200, costCap: Int = 48): Choice = {
+           costCap: Int = 48): Choice = {
     val t0 = System.nanoTime()
-    val all = JoinTree.enumerateRooted(cq, treeCap)
-    require(all.nonEmpty, s"${cq.name}: not acyclic — decompose with GHD first")
-
-    // Structural restriction that protects the theoretical guarantees:
-    // free-connex trees when any exist (a tree rooted at a dominating
-    // relation is free-connex, so relation-dominated queries are covered).
-    val fcTrees = all.filter(JoinTree.isFreeConnex(cq, _))
-    val pool = if (fcTrees.nonEmpty) fcTrees else all
+    require(Hypergraph.isAcyclic(cq), s"${cq.name}: not acyclic — decompose with GHD first")
+    val ids = cq.atoms.map(_.id)
+    val nodes = ids.toSet
+    val rootings = JoinTree.enumerateUnrooted(cq).map(e => ids.map(JoinTree.root(e, nodes, _)))
+    val pool = (
+      if (JoinTree.isFreeConnexQuery(cq))
+        rootings.map(_.filter(JoinTree.isFreeConnex(cq, _))).filter(_.nonEmpty)
+      else rootings
+    ).take(TreeCap).flatten.toVector
 
     // §5.2 pruning heuristics.
     val rooted =

@@ -87,16 +87,6 @@ object JobLite {
   private def minN(alias: String, atom: String, attr: String) =
     AggSpec(alias, Semiring.MinSum, Map(atom -> attr))
 
-  /** Rename + optionally filter, then project to the logical attrs. */
-  private def bind(df: DataFrame, filter: Option[Column],
-                   renames: (String, String)*): DataFrame = {
-    val f = filter.map(df.filter).getOrElse(df)
-    val renamed = renames.foldLeft(f) { case (d, (from, to)) =>
-      d.withColumnRenamed(from, to)
-    }
-    renamed.select(renames.map(_._2).map(col): _*)
-  }
-
   /** One JOB-lite query under construction. */
   private final class Q(val name: String) {
     val atoms = Vector.newBuilder[Atom]
@@ -109,7 +99,7 @@ object JobLite {
     def atom(id: String, df: DataFrame, filter: Option[Column],
              key: Option[Set[String]], renames: (String, String)*): this.type = {
       atoms += Atom(id, renames.map(_._2).toVector)
-      inst += id -> bind(df, filter, renames: _*)
+      inst += id -> Workload.inst(filter.map(df.filter).getOrElse(df), renames: _*)
       if (filter.isDefined) predicates += 1
       key.foreach(k => keys += id -> Set(k))
       this

@@ -36,28 +36,26 @@ object Runner {
   case object CeEstimated extends CeMode
   case object CeAccurate extends CeMode
   case object CeWorstCase extends CeMode
-  case object CeFlat extends CeMode
 
-  final case class RunResult(df: DataFrame, plan: Option[Plan],
-                             cleanups: Vector[() => Unit]) {
+  final case class RunResult(df: DataFrame, cleanups: Vector[() => Unit]) {
     def cleanup(): Unit = cleanups.foreach(_.apply())
   }
 
   def run(w: Workload, method: Method, ceMode: CeMode = CeEstimated,
           optimize: Boolean = true): RunResult = method match {
     case Native =>
-      RunResult(Executor.runNative(w.cq, w.instances), None, Vector.empty)
+      RunResult(Executor.runNative(w.cq, w.instances), Vector.empty)
     case Classic | Plus =>
       val (p, inst, fin) = plan(w, method, ceMode, optimize)
       val res = Executor.run(p, inst)
-      RunResult(fin(res.df), Some(p), Vector(() => res.cleanup()))
+      RunResult(fin(res.df), Vector(() => res.cleanup()))
     case PlusSql =>
       val (p, inst, fin) = plan(w, method, ceMode, optimize)
       inst.foreach { case (id, df) => df.createOrReplaceTempView(id) }
       val spark = inst.head._2.sparkSession
       val script = SqlGen.script(p, SqlGen.SparkDialect)
       script.statements.foreach(spark.sql)
-      RunResult(fin(spark.sql(script.finalQuery)), Some(p), Vector.empty)
+      RunResult(fin(spark.sql(script.finalQuery)), Vector.empty)
   }
 
   /** The plan a Yannakakis method evaluates: acyclify, then the default-tree
@@ -106,7 +104,6 @@ object Runner {
       case CeEstimated => new EstimatedCE(cq, stats)
       case CeAccurate  => cachedExact(cq, inst)
       case CeWorstCase => new WorstCaseCE(cq, stats, cfg)
-      case CeFlat      => CardEstimator.Flat
     }
     // exact counting is expensive — keep its candidate pool small
     val costCap = if (ceMode == CeAccurate) 8 else 48

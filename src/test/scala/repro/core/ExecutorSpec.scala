@@ -125,17 +125,6 @@ class ExecutorSpec extends SparkSpec {
     assert(got == Set(Row(1L, 1L), Row(2L, 1L)))
   }
 
-  test("stats mode records per-operator cardinalities") {
-    val inst = Map(
-      "a" -> df2(("x", "y"), (1L, 2L), (2L, 2L)), "b" -> df2(("y", "z"), (2L, 3L)))
-    val res = Executor.run(YannakakisPlus.plan(cqCnt), inst, collectStats = true)
-    res.df.collect()
-    val st = res.stats.get
-    assert(st.sizes.nonEmpty)
-    assert(st.sizes.collect { case (s: Scan, n) if s.atomId == "a" => n }.head == 2L)
-    res.cleanup()
-  }
-
   test("atoms bound to one DataFrame stay distinct without the analyzer") {
     // e1 and e2 are the very same DataFrame (a self-join on both columns)
     val cq = CQ("self", Vector(

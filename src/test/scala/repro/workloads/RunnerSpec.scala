@@ -38,10 +38,6 @@ class RunnerSpec extends SparkSpec {
     check(TpchLite.q10(t), Runner.Plus, Runner.CeWorstCase)
   }
 
-  test("flat CE mode produces correct results") {
-    check(TpchLite.q3(t), Runner.Plus, Runner.CeFlat)
-  }
-
   test("unoptimized (default-tree) planning produces correct results") {
     val w = TpchLite.q9(t)
     val r = Runner.run(w, Runner.Plus, optimize = false)
