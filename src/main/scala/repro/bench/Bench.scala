@@ -180,7 +180,9 @@ object Bench {
       val w = w0.cached
       val tn = time(w, Variant(Runner.Native))
       // statistics and plan search timed on their own, before any
-      // Yannakakis+ run has collected the statistics
+      // Yannakakis+ run has collected the statistics; `stats-time` is the
+      // base tables' collection (those of an acyclified query's renamed
+      // copy or GHD bags are derived from them, with no Spark job)
       val t0 = System.nanoTime()
       val (cq, inst, cfg, _) = Runner.acyclify(w)
       val stats = Runner.cachedStats(cq, inst)

@@ -1,7 +1,7 @@
 package repro.ghd
 
 import repro.core._
-import repro.opt.AtomStats
+import repro.opt.{AtomStats, Stats}
 
 /** Generalized hypertree decompositions for cyclic queries (paper §4.1).
   *
@@ -95,6 +95,17 @@ object GHD {
     math.max(rows, 1.0)
   }
 
+  /** A multi-atom bag's statistics as [[bestDecomposition]] estimates
+    * them: the chain estimate's rows, and each attribute's NDV the least
+    * over the members holding it, capped at those rows.
+    */
+  private def bagStats(sub: CQ, subInst: CQ.Instances, bag: Bag): AtomStats = {
+    val stats = Stats.of(sub, subInst)
+    val rows = bagEstimate(sub, stats, bag)
+    AtomStats(rows, sub.output.map(x =>
+      x -> math.min(rows, sub.atomsWith(x).map(a => stats(a.id).ndv(x)).min)).toMap)
+  }
+
   /** The bag CQ's *structure* only (no instances) — used to classify
     * cyclic queries as generalized free-connex (paper §4.1 / Table 6).
     */
@@ -112,7 +123,9 @@ object GHD {
 
   /** Materialize the bags (multi-atom bags via the engine's native binary
     * join plan) and return the equivalent acyclic CQ with rebound
-    * instances and aggregates remapped onto the bags.
+    * instances and aggregates remapped onto the bags. A multi-atom bag's
+    * statistics are derived from its members' (see [[bagStats]]), so
+    * planning over the bags runs no bag join.
     */
   def materialize(cq: CQ, inst: CQ.Instances,
                   dec: Decomposition): (CQ, CQ.Instances) = {
@@ -124,7 +137,8 @@ object GHD {
           val sub = CQ(s"${cq.name}_${b.id}",
             b.memberIds.map(cq.atom),
             b.attrs(cq), Vector.empty, distinctOutput = false)
-          Executor.runNative(sub, b.memberIds.map(id => id -> inst(id)).toMap)
+          val subInst = b.memberIds.map(id => id -> inst(id)).toMap
+          Stats.derive(Executor.runNative(sub, subInst))(bagStats(sub, subInst, b))
         }
       b.id -> df
     }.toMap

@@ -1,28 +1,72 @@
 package repro.opt
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.{approx_count_distinct, count, lit}
 import repro.core._
 
-/** Per-atom base statistics: row count and per-attribute NDVs — the
-  * "basic statistical information from the base tables" of paper §5.2.
+/** Per-atom statistics: row count and per-attribute NDVs — for a base
+  * table, the "basic statistical information from the base tables" of
+  * paper §5.2.
   */
 final case class AtomStats(rows: Double, ndv: Map[String, Double])
 
+/** Statistics per instance DataFrame, over all its columns. A base
+  * table's are collected once (one Spark job: its row count and
+  * HyperLogLog NDVs). A relation the planner builds from others — cycle
+  * elimination's renamed copy, a GHD bag — is registered with [[derive]],
+  * and its statistics are computed from its sources' when first asked
+  * for, with no Spark job, as paper §5.2 estimates everything above the
+  * base tables. Entries are keyed by the DataFrame (by reference) and
+  * held weakly, so each goes away with its instance.
+  */
 object Stats {
-  /** Collect exact base statistics (cheap at bench scale; a real system
-    * would use sketches — the estimates downstream are inexact anyway).
+
+  /** A DataFrame's statistics once known, and how they are derived
+    * (`None`: collected from the DataFrame itself).
     */
-  def collect(cq: CQ, instances: CQ.Instances): Map[String, AtomStats] = {
-    import org.apache.spark.sql.functions._
-    cq.atoms.map { a =>
-      val df = instances(a.id)
-      val aggs = count(lit(1)).as("__rows") +:
-        a.attrs.map(x => approx_count_distinct(x).as(s"__ndv_$x"))
-      val row = df.agg(aggs.head, aggs.tail: _*).collect()(0)
-      val rows = row.getAs[Long]("__rows").toDouble
-      val ndv = a.attrs.map(x =>
-        x -> math.max(1.0, row.getAs[Long](s"__ndv_$x").toDouble)).toMap
-      a.id -> AtomStats(math.max(rows, 1.0), ndv)
-    }.toMap
+  private final class Entry(val derivation: Option[() => AtomStats]) {
+    var known: Option[AtomStats] = None
+  }
+
+  private val entries = new java.util.WeakHashMap[DataFrame, Entry]
+
+  /** Collect the statistics of every atom's instance, one Spark job per
+    * atom, whatever is already known.
+    */
+  def collect(cq: CQ, instances: CQ.Instances): Map[String, AtomStats] =
+    cq.atoms.map(a => a.id -> collectOne(instances(a.id), a.attrs)).toMap
+
+  private def collectOne(df: DataFrame, attrs: Seq[String]): AtomStats = {
+    val aggs = count(lit(1)).as("__rows") +:
+      attrs.map(x => approx_count_distinct(x).as(s"__ndv_$x"))
+    val row = df.agg(aggs.head, aggs.tail: _*).collect()(0)
+    val ndv = attrs.map(x =>
+      x -> math.max(1.0, row.getAs[Long](s"__ndv_$x").toDouble)).toMap
+    AtomStats(math.max(row.getAs[Long]("__rows").toDouble, 1.0), ndv)
+  }
+
+  /** Every atom's statistics: known, derived or collected. */
+  def of(cq: CQ, instances: CQ.Instances): Map[String, AtomStats] =
+    cq.atoms.map(a => a.id -> of(instances(a.id), a.attrs)).toMap
+
+  /** `df`'s statistics on `attrs`: known, derived or collected. */
+  def of(df: DataFrame, attrs: Seq[String]): AtomStats = entries.synchronized {
+    val e = entries.computeIfAbsent(df, _ => new Entry(None))
+    val all = e.known.getOrElse {
+      val s = e.derivation.fold(collectOne(df, df.columns.toSeq))(_())
+      e.known = Some(s); s
+    }
+    AtomStats(all.rows, attrs.map(x => x -> all.ndv(x)).toMap)
+  }
+
+  /** Register `df` as derived: `derivation` gives its statistics on all
+    * its columns from its sources' and runs only when they are first
+    * asked for. It must not hold `df`, which would keep the entry alive.
+    * Returns `df`.
+    */
+  def derive(df: DataFrame)(derivation: => AtomStats): DataFrame = {
+    entries.synchronized(entries.put(df, new Entry(Some(() => derivation))))
+    df
   }
 }
 

@@ -21,11 +21,16 @@ object CycleElimination {
     */
   final case class Result(cq: CQ, renamed: (String, String, String),
                           finish: DataFrame => DataFrame) {
-    /** Rebind instances: the renamed atom's column gets the fresh name. */
+    /** Rebind instances: the renamed atom's column gets the fresh name. Its
+      * statistics are its source's with the NDV of `from` under `to`.
+      */
     def rebind(inst: CQ.Instances): CQ.Instances = {
       val (atom, from, to) = renamed
       inst.map { case (id, df) =>
-        id -> (if (id == atom) df.withColumnRenamed(from, to) else df)
+        id -> (if (id != atom) df else Stats.derive(df.withColumnRenamed(from, to)) {
+          val s = Stats.of(df, df.columns.toSeq)
+          s.copy(ndv = s.ndv.map { case (x, n) => (if (x == from) to else x) -> n })
+        })
       }
     }
   }

@@ -74,17 +74,19 @@ object Runner {
   }
 
   // Statistics caches — a DBMS keeps table statistics up front (the
-  // paper's optimizer reads them from the engine), so repeated runs over
-  // the same bound instances must not recollect them. Keyed by the
-  // instance map itself (its DataFrames compare by reference) and held
-  // weakly, so an entry goes away with its instances. An ExactCE holds
-  // its instances, so it is held softly: a strong value would keep its
-  // own key alive.
+  // paper's optimizer reads them from the engine), so repeated runs must
+  // not recollect them. `Stats` holds them per instance DataFrame and
+  // derives those of the relations acyclify builds (a renamed copy, GHD
+  // bags), so a run over base tables with known statistics starts no
+  // statistics job. Memoized per instance map (its DataFrames compare by
+  // reference) and held weakly, so an entry goes away with its instances.
+  // An ExactCE holds its instances, so it is held softly: a strong value
+  // would keep its own key alive.
   private val statsCache = new java.util.WeakHashMap[CQ.Instances, Map[String, AtomStats]]
   private val exactCache = new java.util.WeakHashMap[CQ.Instances, SoftReference[ExactCE]]
 
   def cachedStats(cq: CQ, inst: CQ.Instances): Map[String, AtomStats] =
-    statsCache.synchronized(statsCache.computeIfAbsent(inst, _ => Stats.collect(cq, inst)))
+    statsCache.synchronized(statsCache.computeIfAbsent(inst, _ => Stats.of(cq, inst)))
 
   private def cachedExact(cq: CQ, inst: CQ.Instances): ExactCE = exactCache.synchronized {
     Option(exactCache.get(inst)).flatMap(r => Option(r.get)).getOrElse {

@@ -1,7 +1,12 @@
 package repro.workloads
 
+import java.util.concurrent.{LinkedBlockingQueue, TimeUnit}
+import java.util.concurrent.atomic.AtomicInteger
+
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import repro.{Oracle, SparkSpec}
 import repro.core._
+import repro.opt.{AtomStats, CycleElimination, EstimatedCE, PlanEnumerator, Stats}
 
 /** The unified Runner: every method dispatch path, CE modes, and the
   * SQL-script (PlusSql) deployment of §6.
@@ -9,6 +14,42 @@ import repro.core._
 class RunnerSpec extends SparkSpec {
 
   private lazy val t = TpchLite.tables(spark, sf = 0.002)
+
+  /** TPC-H-lite q5 through cycle elimination and, on the 5-copy tables
+    * without key facts, through GHD. Each call binds fresh instance
+    * DataFrames, whose statistics nothing has collected yet.
+    */
+  private def q5Paths(): Seq[Workload] = Seq(TpchLite.q5(t),
+    TpchLite.q5(TpchLite.withCopies(t, 5)).copy(cfg = RuleConfig.default))
+
+  private val SentinelKey = "repro.test.sentinel"
+
+  /** The number of Spark jobs started while `body` runs. The listener bus
+    * is flushed before and after with a sentinel job: its start event is
+    * delivered after every event posted before it.
+    */
+  private def jobsDuring(body: => Any): Int = {
+    val sc = spark.sparkContext
+    val started = new AtomicInteger
+    val sentinels = new LinkedBlockingQueue[String]
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        Option(e.properties).flatMap(p => Option(p.getProperty(SentinelKey))) match {
+          case Some(token) => sentinels.put(token)
+          case None        => started.incrementAndGet()
+        }
+    }
+    def flush(): Unit = {
+      val token = java.util.UUID.randomUUID.toString
+      sc.setLocalProperty(SentinelKey, token)
+      try sc.parallelize(Seq(1), 1).count() finally sc.setLocalProperty(SentinelKey, null)
+      while (Option(sentinels.poll(30, TimeUnit.SECONDS))
+          .getOrElse(fail("the sentinel job's start event did not arrive in 30 s")) != token) ()
+    }
+    sc.addSparkListener(listener)
+    try { flush(); started.set(0); body; flush(); started.get }
+    finally sc.removeSparkListener(listener)
+  }
 
   private def check(w: Workload, m: Runner.Method,
                     ce: Runner.CeMode = Runner.CeEstimated): Unit = {
@@ -84,6 +125,36 @@ class RunnerSpec extends SparkSpec {
     assert(sA.keySet == Set("a") && sA("a").rows == 3.0)
     assert(sB.keySet == Set("b") && sB("b").rows == 5.0)
     assert(Runner.cachedStats(cqA, instA) eq sA)
+  }
+
+  test("with base statistics known, planning q5 starts no Spark job (cycle elimination and GHD)") {
+    for (w <- q5Paths()) {
+      Runner.cachedStats(w.cq, w.instances)
+      assert(jobsDuring(Runner.plan(w, Runner.Plus)) == 0, w.cq.name)
+    }
+  }
+
+  test("control: with base statistics unknown, planning q5 starts Spark jobs") {
+    for (w <- q5Paths())
+      assert(jobsDuring(Runner.plan(w, Runner.Plus)) > 0, w.cq.name)
+  }
+
+  test("the renamed atom's derived statistics equal those collected on it") {
+    val w = TpchLite.q5(t)
+    val r = CycleElimination(w.cq).get
+    val inst = r.rebind(w.instances)
+    val (id, _, _) = r.renamed
+    val derived = Stats.of(inst(id), r.cq.atom(id).attrs)
+    assert(derived == Stats.collect(r.cq, inst)(id))
+  }
+
+  test("the enumerator picks the same q5 plan with derived as with collected statistics") {
+    for (w <- q5Paths()) {
+      val (cq, inst, cfg, _) = Runner.acyclify(w)
+      def best(s: Map[String, AtomStats]): String =
+        PlanEnumerator.best(cq, cfg, new EstimatedCE(cq, s), s).plan.render
+      assert(best(Runner.cachedStats(cq, inst)) == best(Stats.collect(cq, inst)), cq.name)
+    }
   }
 
   test("PlusSql and Plus agree with each other on Q10") {
