@@ -90,7 +90,7 @@ final case class CQ(
   // ---------------------------------------------------------------- SQL --
 
   /** Qualify each attribute token of `expr` with `alias.` and, when
-    * `castTo` is given, cast it (oracle tables are all-VARCHAR).
+    * `castTo` is given, cast it.
     */
   private def qualify(expr: String, alias: String, attrs: Set[String],
                       castTo: Option[String]): String = {
@@ -106,9 +106,9 @@ final case class CQ(
 
   private def aggSql(a: AggSpec): String = {
     if (a.isCountStar) return s"COUNT(*) AS ${a.alias}"
-    // Numeric aggregates are cast to DOUBLE in *both* dialects so the
-    // engine-native result, the rewritten result (annotations are typed by
-    // the semiring), and the VARCHAR-tabled oracle all agree exactly.
+    // Numeric aggregates are cast to DOUBLE so the engine-native result
+    // and the rewritten result (annotations are typed by the semiring)
+    // agree exactly.
     val cast =
       if (a.semiring.dataType != org.apache.spark.sql.types.StringType)
         Some("DOUBLE")
@@ -147,9 +147,6 @@ final case class CQ(
       s"SELECT ${outCols.mkString(", ")} FROM $from$where"
     }
   }
-
-  /** Oracle-side SQL (DuckDB over VARCHAR tables). */
-  def oracleSql: String = flatSql(duck = true)
 
   /** Native SparkSQL text (run over temp views named by atom id). */
   def sparkSql: String = flatSql(duck = false)

@@ -8,8 +8,8 @@ import repro.core.{CQ, Plan, SqlGen}
 /** Executes queries on an in-process DuckDB — the second engine backend
   * (paper §6 supports DuckDB/PostgreSQL/SparkSQL/AnalyticDB; here DuckDB
   * stands in for the single-node analytical engines). Instances are
-  * loaded as *typed* tables (unlike the all-VARCHAR oracle, this backend
-  * is benchmarked, so it must see real column types).
+  * loaded as *typed* tables. [[repro.Oracle]] loads and reads through it
+  * too.
   */
 final class DuckRunner extends AutoCloseable {
   Class.forName("org.duckdb.DuckDBDriver")
@@ -115,14 +115,16 @@ final class DuckRunner extends AutoCloseable {
   def runSql(sql: String): (Long, Double) =
     withStatement(st => query(st, sql)(drain(System.nanoTime())))
 
-  /** Fetch full results (small queries only) as canonical string rows. */
+  /** Fetch full results (small queries only) as canonical string rows
+    * (each cell rendered by [[DuckRunner.cell]]).
+    */
   def fetch(sql: String): (Vector[String], Vector[Vector[String]]) =
     withStatement(st => query(st, sql) { rs =>
       val meta = rs.getMetaData
       val cols = (1 to meta.getColumnCount).map(meta.getColumnLabel).toVector
       val rows = Vector.newBuilder[Vector[String]]
       while (rs.next())
-        rows += (1 to cols.size).map(i => String.valueOf(rs.getObject(i))).toVector
+        rows += (1 to cols.size).map(i => DuckRunner.cell(rs.getObject(i))).toVector
       (cols, rows.result())
     })
 
@@ -150,4 +152,19 @@ final class DuckRunner extends AutoCloseable {
   }
 
   def close(): Unit = conn.close()
+}
+
+object DuckRunner {
+
+  /** The canonical rendering of one result cell, the same for a Spark
+    * `Row` value and a DuckDB JDBC value: doubles, floats and decimals
+    * rounded to six decimals, `null` as `∅`, anything else by `toString`.
+    */
+  def cell(v: Any): String = v match {
+    case null                     => "∅"
+    case d: Double                => f"$d%.6f"
+    case f: Float                 => f"${f.toDouble}%.6f"
+    case bd: java.math.BigDecimal => f"${bd.doubleValue}%.6f"
+    case x                        => x.toString
+  }
 }

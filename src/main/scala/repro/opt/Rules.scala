@@ -80,63 +80,3 @@ object CycleElimination {
     ("\\b" + java.util.regex.Pattern.quote(from) + "\\b").r
       .replaceAllIn(expr, to)
 }
-
-/** Fusion of dimension relations (paper §5.1): pre-join (or Cartesian-
-  * product) small relations attached to the same large relation, saving a
-  * join or semi-join against the large one.
-  */
-object DimensionFusion {
-
-  /** Fuse attribute-disjoint small atoms sharing a common neighbor.
-    * Returns the rewritten query, rebound instances, and a RuleConfig
-    * with keys/integrity facts remapped to the fused atoms.
-    */
-  def apply(cq: CQ, inst: CQ.Instances, cfg: RuleConfig = RuleConfig.default,
-            maxRows: Long = 10000): (CQ, CQ.Instances, RuleConfig) = {
-    val sizes = cq.atoms.map(a => a.id -> inst(a.id).count()).toMap
-    var cur = cq; var curInst = inst; var curCfg = cfg
-    var done = false
-    while (!done) {
-      val pair = (for {
-        a <- cur.atoms; b <- cur.atoms
-        if a.id < b.id
-        if (a.attrSet & b.attrSet).isEmpty
-        if sizes.getOrElse(a.id, Long.MaxValue) <= maxRows &&
-          sizes.getOrElse(b.id, Long.MaxValue) <= maxRows
-        c <- cur.atoms
-        if c.id != a.id && c.id != b.id
-        if (c.attrSet & a.attrSet).nonEmpty && (c.attrSet & b.attrSet).nonEmpty
-      } yield (a, b)).headOption
-      pair match {
-        case None => done = true
-        case Some((a, b)) =>
-          val fusedId = s"${a.id}__${b.id}"
-          val fused = Atom(fusedId, a.attrs ++ b.attrs)
-          val atoms2 = cur.atoms.filterNot(x => x.id == a.id || x.id == b.id) :+ fused
-          val aggs2 = cur.aggs.map { ag =>
-            val ea = ag.perAtom.get(a.id); val eb = ag.perAtom.get(b.id)
-            val rest = ag.perAtom -- Set(a.id, b.id)
-            val fusedExpr = (ea, eb) match {
-              case (Some(x), Some(y)) => Some(s"($x) ${ag.semiring.timesSql} ($y)")
-              case (Some(x), None)    => Some(x)
-              case (None, Some(y))    => Some(y)
-              case _                  => None
-            }
-            ag.copy(perAtom = rest ++ fusedExpr.map(fusedId -> _))
-          }
-          cur = CQ(cur.name, atoms2, cur.output, aggs2, cur.distinctOutput)
-          curInst = (curInst -- Set(a.id, b.id)) +
-            (fusedId -> curInst(a.id).crossJoin(curInst(b.id)))
-          val fusedKeys = for {
-            ka <- curCfg.keysOf(a.id); kb <- curCfg.keysOf(b.id)
-          } yield ka ++ kb
-          curCfg = curCfg.copy(
-            uniqueKeys = (curCfg.uniqueKeys -- Set(a.id, b.id)) + (fusedId -> fusedKeys),
-            refIntegrity = curCfg.refIntegrity.collect {
-              case (x, y) if x != a.id && x != b.id && y != a.id && y != b.id => (x, y)
-            })
-      }
-    }
-    (cur, curInst, curCfg)
-  }
-}

@@ -1,9 +1,8 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.catalyst.plans.logical.{Join => LJoin, LogicalPlan}
 import org.apache.spark.sql.functions._
-import repro.SparkSpec
+import repro.{Oracle, SparkSpec}
 import repro.core.catalyst.{YannakakisPlusExtension, YannakakisPlusRule}
 import repro.workloads.{TpchLite, Workload}
 
@@ -35,7 +34,7 @@ class CatalystRuleSpec extends SparkSpec {
   private def compare(sql: String, expectRewrite: Boolean = true): Unit = {
     views
     YannakakisPlusExtension.uninstall(spark)
-    val expected = canon(spark.sql(sql))
+    val expected = Oracle.canon(spark.sql(sql))
     YannakakisPlusExtension.install(spark)
     try {
       val df = spark.sql(sql)
@@ -45,15 +44,9 @@ class CatalystRuleSpec extends SparkSpec {
           if a.getTagValue(YannakakisPlusRule.Tag).contains(true) => a
       }.isDefined
       if (expectRewrite) assert(rewritten, s"not rewritten:\n$optimized")
-      assert(canon(df) == expected)
+      assert(Oracle.canon(df) == expected)
     } finally YannakakisPlusExtension.uninstall(spark)
   }
-
-  private def canon(df: DataFrame): Set[String] =
-    df.collect().map(_.toSeq.map {
-      case d: Double => f"$d%.6f"
-      case x => String.valueOf(x)
-    }.mkString("|")).toSet[String]
 
   test("COUNT(*) over a 3-hop path is rewritten and matches") {
     compare("SELECT ab.a, COUNT(*) AS cnt FROM ab, bc, cd " +

@@ -139,7 +139,7 @@ class ExecutorSpec extends SparkSpec {
         assert(j.left.outputSet.intersect(j.right.outputSet).isEmpty, s"shared ids in\n$j")
       case _ =>
     }
-    repro.Oracle.assertEquivalent(res.df, cq.oracleSql, inst.toSeq: _*)
+    repro.Oracle.assertEquivalent(res.df, cq, inst)
     res.cleanup()
   }
 

@@ -30,14 +30,14 @@ class SmokeSpec extends SparkSpec {
   test("Q4 native Spark SQL matches oracle") {
     val (cq, inst) = q4
     val df = Executor.runNative(cq, inst)
-    Oracle.assertEquivalent(df, cq.oracleSql, inst.toSeq: _*)
+    Oracle.assertEquivalent(df, cq, inst)
   }
 
   test("Q4 Yannakakis plan matches oracle") {
     val (cq, inst) = q4
     val plan = Yannakakis.plan(cq)
     val res = Executor.run(plan, inst)
-    Oracle.assertEquivalent(res.df, cq.oracleSql, inst.toSeq: _*)
+    Oracle.assertEquivalent(res.df, cq, inst)
     res.cleanup()
   }
 
@@ -46,7 +46,7 @@ class SmokeSpec extends SparkSpec {
     val plan = YannakakisPlus.plan(cq)
     assert(plan.nSemiJoins == 0, plan.render) // Example 3.1's observation
     val res = Executor.run(plan, inst)
-    Oracle.assertEquivalent(res.df, cq.oracleSql, inst.toSeq: _*)
+    Oracle.assertEquivalent(res.df, cq, inst)
     res.cleanup()
   }
 
@@ -56,6 +56,6 @@ class SmokeSpec extends SparkSpec {
     val script = SqlGen.script(YannakakisPlus.plan(cq), SqlGen.SparkDialect)
     script.statements.foreach(spark.sql)
     val df = spark.sql(script.finalQuery)
-    Oracle.assertEquivalent(df, cq.oracleSql, inst.toSeq: _*)
+    Oracle.assertEquivalent(df, cq, inst)
   }
 }

@@ -57,7 +57,7 @@ class SqlGenSpec extends SparkSpec {
     inst.foreach { case (id, df) => df.createOrReplaceTempView(id) }
     val s = scriptFor(cq)
     s.statements.foreach(spark.sql)
-    Oracle.assertEquivalent(spark.sql(s.finalQuery), cq.oracleSql, inst.toSeq: _*)
+    Oracle.assertEquivalent(spark.sql(s.finalQuery), cq, inst)
   }
 
   test("script execution matches oracle: Q1") { sparkScriptMatchesOracle(q1) }

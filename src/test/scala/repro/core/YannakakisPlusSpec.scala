@@ -55,7 +55,7 @@ class YannakakisPlusSpec extends SparkSpec {
     val t = tree.getOrElse(JoinTree.defaultTree(cq))
     val plan = YannakakisPlus.plan(cq, t, cfg)
     val res = Executor.run(plan, inst)
-    Oracle.assertEquivalent(res.df, cq.oracleSql, inst.toSeq: _*)
+    Oracle.assertEquivalent(res.df, cq, inst)
     res.cleanup()
   }
 
@@ -69,7 +69,7 @@ class YannakakisPlusSpec extends SparkSpec {
     val inst = TestData.instances(spark, q1, rows = 80, dom = 6)
     JoinTree.enumerateRooted(q1).take(12).foreach { t =>
       val res = Executor.run(YannakakisPlus.plan(q1, t), inst)
-      Oracle.assertEquivalent(res.df, q1.oracleSql, inst.toSeq: _*)
+      Oracle.assertEquivalent(res.df, q1, inst)
       res.cleanup()
     }
   }
@@ -103,7 +103,7 @@ class YannakakisPlusSpec extends SparkSpec {
     val cq = line(2, Vector.empty, count())
     val inst = TestData.withEmpty(spark, cq, "e2")
     val res = Executor.run(YannakakisPlus.plan(cq), inst)
-    Oracle.assertEquivalent(res.df, cq.oracleSql, inst.toSeq: _*)
+    Oracle.assertEquivalent(res.df, cq, inst)
     res.cleanup()
   }
 
@@ -161,7 +161,7 @@ class YannakakisPlusSpec extends SparkSpec {
     val cfg = RuleConfig.default.copy(uniqueKeys = Map("b" -> Set(Set("x"))))
     val plan = YannakakisPlus.plan(cq, JoinTree.defaultTree(cq), cfg)
     val res = Executor.run(plan, inst)
-    Oracle.assertEquivalent(res.df, cq.oracleSql, inst.toSeq: _*)
+    Oracle.assertEquivalent(res.df, cq, inst)
     res.cleanup()
   }
 
@@ -181,7 +181,7 @@ class YannakakisPlusSpec extends SparkSpec {
     val base = YannakakisPlus.plan(cq, tree, RuleConfig.default)
     assert(plan.nSemiJoins < base.nSemiJoins || base.nSemiJoins == 0)
     val res = Executor.run(plan, inst)
-    Oracle.assertEquivalent(res.df, cq.oracleSql, inst.toSeq: _*)
+    Oracle.assertEquivalent(res.df, cq, inst)
     res.cleanup()
   }
 
@@ -196,7 +196,7 @@ class YannakakisPlusSpec extends SparkSpec {
     val inst: CQ.Instances = Map(
       "e1" -> e.toDF("x1", "x2"), "e2" -> e.toDF("x2", "x3"))
     val res = Executor.run(YannakakisPlus.plan(cq), inst)
-    Oracle.assertEquivalent(res.df, cq.oracleSql, inst.toSeq: _*)
+    Oracle.assertEquivalent(res.df, cq, inst)
     res.cleanup()
   }
 
@@ -207,7 +207,7 @@ class YannakakisPlusSpec extends SparkSpec {
     val inst: CQ.Instances = Map("e1" -> dup.toDF("x1", "x2"),
       "e2" -> base.toDF("x2", "x3"))
     val res = Executor.run(YannakakisPlus.plan(cq), inst)
-    Oracle.assertEquivalent(res.df, cq.oracleSql, inst.toSeq: _*)
+    Oracle.assertEquivalent(res.df, cq, inst)
     res.cleanup()
   }
 }

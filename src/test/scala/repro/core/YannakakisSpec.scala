@@ -24,7 +24,7 @@ class YannakakisSpec extends SparkSpec {
     val inst = TestData.instances(spark, cq, rows = 150, dom = 8, seed = seed)
     val plan = tree.map(Yannakakis.plan(cq, _)).getOrElse(Yannakakis.plan(cq))
     val res = Executor.run(plan, inst)
-    Oracle.assertEquivalent(res.df, cq.oracleSql, inst.toSeq: _*)
+    Oracle.assertEquivalent(res.df, cq, inst)
     res.cleanup()
   }
 
@@ -59,7 +59,7 @@ class YannakakisSpec extends SparkSpec {
     val cq = line(2, Vector.empty, count())
     val inst = TestData.withEmpty(spark, cq, "e1")
     val res = Executor.run(Yannakakis.plan(cq), inst)
-    Oracle.assertEquivalent(res.df, cq.oracleSql, inst.toSeq: _*)
+    Oracle.assertEquivalent(res.df, cq, inst)
     val row = res.df.collect()(0)
     assert(row.getLong(0) == 0L)
     res.cleanup()

@@ -11,21 +11,12 @@ import repro.core.TestData
   */
 class DuckRunnerSpec extends SparkSpec {
 
-  private def canonSpark(cq: CQ, inst: CQ.Instances): Set[Vector[String]] = {
+  /** The Spark executor's Yannakakis+ result as the oracle compares it. */
+  private def canonSpark(cq: CQ, inst: CQ.Instances): Map[Seq[String], Int] = {
     val res = Executor.run(YannakakisPlus.plan(cq), inst)
-    val cols = res.df.columns.toVector
-    val out = res.df.collect().map(r =>
-      cols.indices.map(i => canonCell(r.get(i))).toVector).toSet
-    res.cleanup()
-    out
+    try Oracle.canon(res.df)
+    finally res.cleanup()
   }
-
-  private def canonCell(v: Any): String =
-    if (v == null) "null"
-    else scala.util.Try(f"${v.toString.toDouble}%.4f").getOrElse(v.toString)
-
-  private def canonDuck(rows: Vector[Vector[String]]): Set[Vector[String]] =
-    rows.map(_.map(c => canonCell(c))).toSet
 
   private def checkBoth(cq: CQ, inst: CQ.Instances): Unit = {
     val d = new DuckRunner
@@ -34,11 +25,9 @@ class DuckRunnerSpec extends SparkSpec {
       val plan = YannakakisPlus.plan(cq)
       val script = SqlGen.script(plan, SqlGen.DuckDialect)
       script.statements.foreach(d.conn.createStatement().execute)
-      val (_, duckRows) = d.fetch(script.finalQuery)
-      val (_, nativeRows) = d.fetch(cq.flatSql(duck = false))
       val want = canonSpark(cq, inst)
-      assert(canonDuck(duckRows) == want, "duck script vs spark executor")
-      assert(canonDuck(nativeRows) == want, "duck native vs spark executor")
+      assert(Oracle.canon(d.fetch(script.finalQuery)) == want, "duck script vs spark executor")
+      assert(Oracle.canon(d.fetch(cq.flatSql(duck = false))) == want, "duck native vs spark executor")
     } finally d.close()
   }
 
@@ -73,13 +62,13 @@ class DuckRunnerSpec extends SparkSpec {
       val (n, _) = d.runScript(plan)
       val script = SqlGen.script(plan, SqlGen.DuckDialect)
       script.statements.foreach(d.conn.createStatement().execute)
-      val (_, scriptRows) = d.fetch(script.finalQuery)
-      val (_, nativeRows) = d.fetch(cq.flatSql(duck = false))
-      assert(n == nativeRows.size && n > 0)
-      assert(canonDuck(scriptRows) == canonDuck(nativeRows), "duck script vs duck native")
-      assert(canonDuck(scriptRows) == canonSpark(cq, inst), "duck script vs spark executor")
+      val scriptRows = Oracle.canon(d.fetch(script.finalQuery))
+      val native = d.fetch(cq.flatSql(duck = false))
+      assert(n == native._2.size && n > 0)
+      assert(scriptRows == Oracle.canon(native), "duck script vs duck native")
+      assert(scriptRows == canonSpark(cq, inst), "duck script vs spark executor")
       val res = Executor.run(plan, inst)
-      try Oracle.assertEquivalent(res.df, cq.oracleSql, inst.toSeq: _*)
+      try Oracle.assertEquivalent(res.df, cq, inst)
       finally res.cleanup()
     } finally d.close()
   }

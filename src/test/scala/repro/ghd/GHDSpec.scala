@@ -59,7 +59,7 @@ class GHDSpec extends SparkSpec {
     val dec = GHD.bestDecomposition(triangle, stats).get
     val (cq2, inst2) = GHD.materialize(triangle, inst, dec)
     val res = Executor.run(YannakakisPlus.plan(cq2), inst2)
-    Oracle.assertEquivalent(res.df, triangle.oracleSql, inst.toSeq: _*)
+    Oracle.assertEquivalent(res.df, triangle, inst)
     res.cleanup()
   }
 
@@ -74,7 +74,7 @@ class GHDSpec extends SparkSpec {
     val dec = GHD.bestDecomposition(dumbbell, stats).get
     val (cq2, inst2) = GHD.materialize(dumbbell, inst, dec)
     val res = Executor.run(YannakakisPlus.plan(cq2), inst2)
-    Oracle.assertEquivalent(res.df, dumbbell.oracleSql, inst.toSeq: _*)
+    Oracle.assertEquivalent(res.df, dumbbell, inst)
     res.cleanup()
   }
 
@@ -93,7 +93,7 @@ class GHDSpec extends SparkSpec {
     val dec = GHD.bestDecomposition(cq, stats).get
     val (cq2, inst2) = GHD.materialize(cq, inst, dec)
     val res = Executor.run(YannakakisPlus.plan(cq2), inst2)
-    Oracle.assertEquivalent(res.df, cq.oracleSql, inst.toSeq: _*)
+    Oracle.assertEquivalent(res.df, cq, inst)
     res.cleanup()
   }
 

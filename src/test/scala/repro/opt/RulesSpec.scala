@@ -4,9 +4,8 @@ import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.core._
 import repro.core.Fixtures._
-import repro.core.TestData
 
-/** Cycle elimination (Example 5.2) and dimension fusion (paper §5.1). */
+/** Cycle elimination (paper §5.1, Example 5.2). */
 class RulesSpec extends SparkSpec {
 
   import spark.implicits._
@@ -31,7 +30,7 @@ class RulesSpec extends SparkSpec {
     val plan = YannakakisPlus.plan(r.cq)
     val res = Executor.run(plan, r.rebind(inst))
     val got = r.finish(res.df)
-    Oracle.assertEquivalent(got, triangle.oracleSql, inst.toSeq: _*)
+    Oracle.assertEquivalent(got, triangle, inst)
     res.cleanup()
   }
 
@@ -50,7 +49,7 @@ class RulesSpec extends SparkSpec {
       "s" -> spark.range(20).select(($"id" + 1).as("sk"), ($"id" % 5).as("nk")))
     val r = CycleElimination(cq).get
     val res = Executor.run(YannakakisPlus.plan(r.cq), r.rebind(inst))
-    Oracle.assertEquivalent(r.finish(res.df), cq.oracleSql, inst.toSeq: _*)
+    Oracle.assertEquivalent(r.finish(res.df), cq, inst)
     res.cleanup()
   }
 
@@ -63,52 +62,7 @@ class RulesSpec extends SparkSpec {
       "e3" -> e.select($"src".as("c"), $"dst".as("a")))
     val r = CycleElimination(cq).get
     val res = Executor.run(YannakakisPlus.plan(r.cq), r.rebind(inst))
-    Oracle.assertEquivalent(r.finish(res.df), cq.oracleSql, inst.toSeq: _*)
-    res.cleanup()
-  }
-
-  test("dimension fusion: disjoint small dimensions of a fact are fused") {
-    // R1(x1) ⋈ R2(x1,x2) ⋈ R3(x2) — the paper's own example.
-    val cq = CQ("dims", Vector(
-      Atom("r1", Vector("x1")), Atom("r2", Vector("x1", "x2")),
-      Atom("r3", Vector("x2"))), Vector.empty, Fixtures.count())
-    val inst: CQ.Instances = Map(
-      "r1" -> spark.range(1, 6).toDF("x1"),
-      "r2" -> TestData.atomDf(spark, cq.atom("r2"), 500, 8, 3),
-      "r3" -> spark.range(1, 7).toDF("x2"))
-    val (cq2, inst2, _) = DimensionFusion(cq, inst, maxRows = 100)
-    assert(cq2.atoms.size == 2)
-    assert(cq2.atoms.exists(_.id == "r1__r3"))
-    val res = Executor.run(YannakakisPlus.plan(cq2), inst2)
-    Oracle.assertEquivalent(res.df, cq.oracleSql, inst.toSeq: _*)
-    res.cleanup()
-  }
-
-  test("dimension fusion leaves large relations alone") {
-    val cq = CQ("dims2", Vector(
-      Atom("r1", Vector("x1")), Atom("r2", Vector("x1", "x2")),
-      Atom("r3", Vector("x2"))), Vector.empty, Fixtures.count())
-    val inst: CQ.Instances = Map(
-      "r1" -> spark.range(1, 500).toDF("x1"),
-      "r2" -> TestData.atomDf(spark, cq.atom("r2"), 500, 8, 3),
-      "r3" -> spark.range(1, 500).toDF("x2"))
-    val (cq2, _, _) = DimensionFusion(cq, inst, maxRows = 100)
-    assert(cq2.atoms.size == 3)
-  }
-
-  test("dimension fusion merges aggregate sources with the semiring ⊗") {
-    val cq = CQ("dims3", Vector(
-      Atom("r1", Vector("x1", "v")), Atom("r2", Vector("x1", "x2")),
-      Atom("r3", Vector("x2", "w"))), Vector.empty,
-      Vector(AggSpec("s", Semiring.SumProduct, Map("r1" -> "v", "r3" -> "w"))))
-    val inst: CQ.Instances = Map(
-      "r1" -> spark.range(1, 5).select(($"id" % 4 + 1).as("x1"), ($"id" * 2).cast("double").as("v")),
-      "r2" -> TestData.atomDf(spark, Atom("r2", Vector("x1", "x2")), 300, 4, 5),
-      "r3" -> spark.range(1, 5).select(($"id" % 4 + 1).as("x2"), ($"id" * 3).cast("double").as("w")))
-    val (cq2, inst2, _) = DimensionFusion(cq, inst, maxRows = 100)
-    assert(cq2.atoms.size == 2)
-    val res = Executor.run(YannakakisPlus.plan(cq2), inst2)
-    Oracle.assertEquivalent(res.df, cq.oracleSql, inst.toSeq: _*)
+    Oracle.assertEquivalent(r.finish(res.df), cq, inst)
     res.cleanup()
   }
 }

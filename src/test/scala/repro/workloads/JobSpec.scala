@@ -16,7 +16,7 @@ class JobSpec extends SparkSpec {
     test(s"$name / ${m.label} matches oracle") {
       val w = wl.find(_._1 == name).get._2
       val r = Runner.run(w, m)
-      Oracle.assertEquivalent(r.df, w.cq.oracleSql, w.instances.toSeq: _*)
+      Oracle.assertEquivalent(r.df, w.cq, w.instances)
       r.cleanup()
     }
   }

@@ -16,7 +16,7 @@ class LsqbSpec extends SparkSpec {
     test(s"$name / ${m.label} matches oracle") {
       val w = wl(name)
       val r = Runner.run(w, m)
-      Oracle.assertEquivalent(r.df, w.cq.oracleSql, w.instances.toSeq: _*)
+      Oracle.assertEquivalent(r.df, w.cq, w.instances)
       r.cleanup()
     }
   }

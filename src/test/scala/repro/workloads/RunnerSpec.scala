@@ -54,7 +54,7 @@ class RunnerSpec extends SparkSpec {
   private def check(w: Workload, m: Runner.Method,
                     ce: Runner.CeMode = Runner.CeEstimated): Unit = {
     val r = Runner.run(w, m, ce)
-    Oracle.assertEquivalent(r.df, w.cq.oracleSql, w.instances.toSeq: _*)
+    Oracle.assertEquivalent(r.df, w.cq, w.instances)
     r.cleanup()
   }
 
@@ -82,7 +82,7 @@ class RunnerSpec extends SparkSpec {
   test("unoptimized (default-tree) planning produces correct results") {
     val w = TpchLite.q9(t)
     val r = Runner.run(w, Runner.Plus, optimize = false)
-    Oracle.assertEquivalent(r.df, w.cq.oracleSql, w.instances.toSeq: _*)
+    Oracle.assertEquivalent(r.df, w.cq, w.instances)
     r.cleanup()
   }
 

@@ -38,7 +38,7 @@ class SgpbSpec extends SparkSpec {
     test(s"${q.name} / ${m.label} matches oracle") {
       val w = wl(q.name)
       val r = Runner.run(w, m)
-      Oracle.assertEquivalent(r.df, w.cq.oracleSql, w.instances.toSeq: _*)
+      Oracle.assertEquivalent(r.df, w.cq, w.instances)
       r.cleanup()
     }
   }

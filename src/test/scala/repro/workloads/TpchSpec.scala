@@ -14,7 +14,7 @@ class TpchSpec extends SparkSpec {
 
   private def check(w: Workload, m: Runner.Method): Unit = {
     val r = Runner.run(w, m)
-    Oracle.assertEquivalent(r.df, w.cq.oracleSql, w.instances.toSeq: _*)
+    Oracle.assertEquivalent(r.df, w.cq, w.instances)
     r.cleanup()
   }
 
