@@ -1,7 +1,8 @@
 package repro.core
 
-/** Shared plumbing for the two planners: per-node state (operator, known
-  * unique keys, instance completeness) and rule-aware operator builders.
+/** Plumbing of the [[YannakakisPlus]] planner: per-node state (operator,
+  * known unique keys, instance completeness) and rule-aware operator
+  * builders. Its unique-key propagation also serves `WorstCaseCE`.
   */
 private[repro] object PlannerUtil {
 

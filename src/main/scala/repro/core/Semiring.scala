@@ -58,15 +58,6 @@ sealed abstract class Semiring(
   /** `⊕` as a Spark aggregate column. */
   final def plus(c: Column): Column = column(plusAgg(expression(c)).toAggregateExpression())
 
-  /** `⊗` over columns. */
-  final def times: Option[(Column, Column) => Column] =
-    timesExpr.map(f => (a: Column, b: Column) => column(f(expression(a), expression(b))))
-
-  final def countFold(cnt: Column): Option[Column] =
-    countFold(expression(cnt), dataType).map(column)
-
-  final def finish(c: Column): Column = column(finishExpr(expression(c)))
-
   private def probe: Expression = Literal.create(null, dataType)
 
   /** ⊕ spelled in SQL, for native-plan and oracle generation. */

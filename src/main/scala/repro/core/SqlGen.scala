@@ -1,35 +1,41 @@
 package repro.core
 
-/** Converts a [[Plan]] into a sequence of SQL statements over temp views —
-  * the paper's rewrite-based deployment (§6): "the instructions are
-  * further converted into executable SQL queries", one atomic statement
-  * per operator, so the target engine executes the Yannakakis+ DAG as
-  * given. The dialect differences between SparkSQL and DuckDB are limited
-  * to the temp-view DDL.
+/** Converts a [[Plan]] into one SQL query — the paper's rewrite-based
+  * deployment (§6): "the instructions are further converted into
+  * executable SQL queries". Each operator is a plain (not `MATERIALIZED`)
+  * common table expression `<q>_op<i>`, defined once and read by name by
+  * its parents, and the final query reads the root's. DuckDB inlines such
+  * CTEs, as Spark does when they are deterministic, so a shared operator is
+  * computed once per parent. The text is the same for SparkSQL and DuckDB.
   */
 object SqlGen {
 
-  final case class Script(statements: Vector[String], finalQuery: String,
-                          viewNames: Vector[String])
+  /** The rewritten query.
+    *
+    * @param finalQuery the one statement: `WITH <q>_op0 AS (…), … SELECT …`
+    */
+  final case class Script(finalQuery: String) {
 
-  sealed trait Dialect {
-    def createView(name: String, query: String): String
+    /** Always empty: nothing runs before [[finalQuery]]. Kept, like
+      * [[viewNames]] and [[DuckDialect]], only because perfbench still
+      * executes these statements and drops these views; delete all three
+      * with its next change.
+      */
+    def statements: Vector[String] = Vector.empty
+
+    /** Always empty: the script creates no view, so perfbench drops none. */
+    def viewNames: Vector[String] = Vector.empty
   }
-  case object SparkDialect extends Dialect {
-    def createView(name: String, query: String): String =
-      s"CREATE OR REPLACE TEMPORARY VIEW $name AS $query"
-  }
-  case object DuckDialect extends Dialect {
-    def createView(name: String, query: String): String =
-      s"CREATE OR REPLACE TEMP VIEW $name AS $query"
-  }
+
+  /** Ignored by [[script]]; kept only because perfbench passes it. */
+  case object DuckDialect
 
   import Lower.v
 
-  /** Emit the script. Base relations are expected as tables/views named by
+  /** Emit the query. Base relations are expected as tables/views named by
     * atom id.
     */
-  def script(plan: Plan, dialect: Dialect): Script = {
+  def script(plan: Plan, dialect: DuckDialect.type = DuckDialect): Script = {
     val cq = plan.cq
     val ops = plan.ops
     val nameOf: Map[Op, String] = ops.zipWithIndex.map {
@@ -112,10 +118,8 @@ object SqlGen {
         }
     }
 
-    val statements = ops.map(o => dialect.createView(nameOf(o), sqlFor(o)))
-
     val rootName = nameOf(plan.root)
-    val finalQuery =
+    val query =
       if (cq.aggs.nonEmpty) {
         val aggCols = cq.aggs.zipWithIndex.map { case (a, i) =>
           val present = plan.root.annots(i)
@@ -134,7 +138,8 @@ object SqlGen {
         s"SELECT ${cq.output.mkString(", ")} FROM $rootName"
       }
 
-    Script(statements, finalQuery, ops.map(nameOf))
+    Script(ops.map(o => s"${nameOf(o)} AS (${sqlFor(o)})")
+      .mkString("WITH ", ", ", s" $query"))
   }
 
   private def sanitize(name: String): String =

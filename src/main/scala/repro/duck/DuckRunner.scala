@@ -94,20 +94,10 @@ final class DuckRunner extends AutoCloseable {
   def loadInstances(inst: CQ.Instances): Unit =
     inst.foreach { case (n, df) => load(n, df) }
 
-  /** Run a rewritten plan: all view DDLs then the final query; returns
-    * the row count and wall time of the execution phase. The script's
-    * views are dropped afterwards, also when a statement fails.
+  /** Run a rewritten plan as its one [[SqlGen]] statement; returns the
+    * row count and wall seconds of the execution.
     */
-  def runScript(plan: Plan): (Long, Double) = {
-    val script = SqlGen.script(plan, SqlGen.DuckDialect)
-    try withStatement { st =>
-      val t0 = System.nanoTime()
-      script.statements.foreach(st.execute)
-      query(st, script.finalQuery)(drain(t0))
-    } finally withStatement { st => // a fresh one: DuckDB closes a statement that failed
-      script.viewNames.reverse.foreach(vn => st.execute(s"DROP VIEW IF EXISTS $vn"))
-    }
-  }
+  def runScript(plan: Plan): (Long, Double) = runSql(SqlGen.script(plan).finalQuery)
 
   /** Run the native flat SQL; returns row count and wall seconds. */
   def runNative(cq: CQ): (Long, Double) = runSql(cq.flatSql(duck = false))
@@ -162,9 +152,17 @@ object DuckRunner {
     */
   def cell(v: Any): String = v match {
     case null                     => "∅"
-    case d: Double                => f"$d%.6f"
-    case f: Float                 => f"${f.toDouble}%.6f"
-    case bd: java.math.BigDecimal => f"${bd.doubleValue}%.6f"
+    case d: Double                => sixDecimals(d)
+    case f: Float                 => sixDecimals(f.toDouble)
+    case bd: java.math.BigDecimal => sixDecimals(bd.doubleValue)
     case x                        => x.toString
+  }
+
+  /** `d` rounded to six decimals, unsigned when it rounds to zero: `-1e-9`
+    * and `1e-9` agree to six decimals.
+    */
+  private def sixDecimals(d: Double): String = {
+    val s = f"$d%.6f"
+    if (s == "-0.000000") "0.000000" else s
   }
 }

@@ -16,8 +16,8 @@ import repro.opt._
   *  - [[Runner.Classic]]         — the vanilla Yannakakis algorithm;
   *  - [[Runner.Plus]]            — Yannakakis+ with the rule- and
   *                                 cost-based optimizer;
-  *  - [[Runner.PlusSql]]         — Yannakakis+ deployed as rewritten SQL
-  *                                 statements (the paper's §6 architecture)
+  *  - [[Runner.PlusSql]]         — Yannakakis+ deployed as one rewritten
+  *                                 SQL query (the paper's §6 architecture)
   *                                 executed through `spark.sql`.
   *
   * Cyclic queries: Native runs the flat SQL as-is; the Yannakakis methods
@@ -53,9 +53,7 @@ object Runner {
       val (p, inst, fin) = plan(w, method, ceMode, optimize)
       inst.foreach { case (id, df) => df.createOrReplaceTempView(id) }
       val spark = inst.head._2.sparkSession
-      val script = SqlGen.script(p, SqlGen.SparkDialect)
-      script.statements.foreach(spark.sql)
-      RunResult(fin(spark.sql(script.finalQuery)), Vector.empty)
+      RunResult(fin(spark.sql(SqlGen.script(p).finalQuery)), Vector.empty)
   }
 
   /** The plan a Yannakakis method evaluates: acyclify, then the default-tree
@@ -73,20 +71,18 @@ object Runner {
     (p, inst, fin)
   }
 
-  // Statistics caches — a DBMS keeps table statistics up front (the
-  // paper's optimizer reads them from the engine), so repeated runs must
-  // not recollect them. `Stats` holds them per instance DataFrame and
-  // derives those of the relations acyclify builds (a renamed copy, GHD
-  // bags), so a run over base tables with known statistics starts no
-  // statistics job. Memoized per instance map (its DataFrames compare by
-  // reference) and held weakly, so an entry goes away with its instances.
-  // An ExactCE holds its instances, so it is held softly: a strong value
-  // would keep its own key alive.
-  private val statsCache = new java.util.WeakHashMap[CQ.Instances, Map[String, AtomStats]]
+  // Statistics — a DBMS keeps table statistics up front (the paper's
+  // optimizer reads them from the engine), so repeated runs must not
+  // recollect them. `Stats` holds them per instance DataFrame and derives
+  // those of the relations acyclify builds (a renamed copy, GHD bags), so
+  // a run over base tables with known statistics starts no statistics
+  // job. An ExactCE is memoized per instance map (its DataFrames compare
+  // by reference), held weakly so an entry goes away with its instances,
+  // and softly as a value: a strong one would keep its own key alive.
   private val exactCache = new java.util.WeakHashMap[CQ.Instances, SoftReference[ExactCE]]
 
-  def cachedStats(cq: CQ, inst: CQ.Instances): Map[String, AtomStats] =
-    statsCache.synchronized(statsCache.computeIfAbsent(inst, _ => Stats.of(cq, inst)))
+  /** Every atom's statistics: known, derived or collected ([[Stats.of]]). */
+  def cachedStats(cq: CQ, inst: CQ.Instances): Map[String, AtomStats] = Stats.of(cq, inst)
 
   private def cachedExact(cq: CQ, inst: CQ.Instances): ExactCE = exactCache.synchronized {
     Option(exactCache.get(inst)).flatMap(r => Option(r.get)).getOrElse {

@@ -44,6 +44,11 @@ class OracleSpec extends SparkSpec {
     assert(mismatch(Seq(1.251, -3.5).toDF("x"), cq, inst).contains("result mismatch"))
   }
 
+  test("a value that rounds to zero compares unsigned: -1e-9 equals 1e-9") {
+    val cq = CQ("scanX", Vector(Atom("t", Vector("x"))), Vector("x"), distinctOutput = false)
+    Oracle.assertEquivalent(Seq(-1e-9).toDF("x"), cq, Map("t" -> Seq(1e-9).toDF("x")))
+  }
+
   test("a column-name mismatch fails") {
     val inst = Map("t" -> rowsAB(("1", "2")))
     val msg = mismatch(Seq(("1", "2")).toDF("a", "c"), scanAB, inst)

@@ -1,6 +1,10 @@
 package repro.core
 
+import org.apache.spark.sql.CatalystAccess.{column, expression}
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.catalyst.expressions.Literal
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.LongType
 import repro.SparkSpec
 
 /** Semiring algebra evaluated through Spark columns. */
@@ -19,41 +23,37 @@ class SemiringSpec extends SparkSpec {
   test("MaxProduct folds with max") { assert(foldOne(Semiring.MaxProduct) == 3.0) }
 
   test("CountProduct folds counts with + and finishes null to 0") {
-    val got = Seq(2L, 3L).toDF("v").agg(
-      Semiring.CountProduct.finish(Semiring.CountProduct.plus(col("v"))))
-      .collect()(0).getLong(0)
-    assert(got == 5L)
-    val empty = Seq.empty[Long].toDF("v").agg(
-      Semiring.CountProduct.finish(Semiring.CountProduct.plus(col("v"))))
-      .collect()(0).getLong(0)
-    assert(empty == 0L)
+    val s = Semiring.CountProduct
+    def total(df: DataFrame): Long =
+      df.agg(column(s.finishExpr(expression(s.plus(col("v")))))).collect()(0).getLong(0)
+    assert(total(Seq(2L, 3L).toDF("v")) == 5L)
+    assert(total(Seq.empty[Long].toDF("v")) == 0L)
   }
 
-  test("times of SumProduct multiplies") {
-    val df = Seq((2.0, 3.0)).toDF("a", "b")
-    val got = df.select(Semiring.SumProduct.times.get(col("a"), col("b")))
+  /** `s`'s ⊗ of the columns `a` and `b` of one row `(2.0, 3.0)`. */
+  private def timesOf(s: Semiring): Double =
+    Seq((2.0, 3.0)).toDF("a", "b")
+      .select(column(s.timesExpr.get(expression(col("a")), expression(col("b")))))
       .collect()(0).getDouble(0)
-    assert(got == 6.0)
-  }
+
+  test("times of SumProduct multiplies") { assert(timesOf(Semiring.SumProduct) == 6.0) }
 
   test("times of MinSum adds (shifted-identity composition)") {
-    val df = Seq((2.0, 3.0)).toDF("a", "b")
-    val got = df.select(Semiring.MinSum.times.get(col("a"), col("b")))
-      .collect()(0).getDouble(0)
-    assert(got == 5.0)
+    assert(timesOf(Semiring.MinSum) == 5.0)
   }
 
   test("string semirings are single-source (no ⊗)") {
-    assert(Semiring.MinString.times.isEmpty)
-    assert(Semiring.MaxString.times.isEmpty)
+    assert(Semiring.MinString.timesExpr.isEmpty)
+    assert(Semiring.MaxString.timesExpr.isEmpty)
   }
 
   test("countFold is defined exactly for the sum-like semirings") {
-    assert(Semiring.SumProduct.countFold(lit(3L)).isDefined)
-    assert(Semiring.CountProduct.countFold(lit(3L)).isDefined)
-    assert(Semiring.MinSum.countFold(lit(3L)).isEmpty)
-    assert(Semiring.MaxSum.countFold(lit(3L)).isEmpty)
-    assert(Semiring.MinString.countFold(lit(3L)).isEmpty)
+    def folds(s: Semiring) = s.countFold(Literal(3L), LongType)
+    assert(folds(Semiring.SumProduct).isDefined)
+    assert(folds(Semiring.CountProduct).isDefined)
+    assert(folds(Semiring.MinSum).isEmpty)
+    assert(folds(Semiring.MaxSum).isEmpty)
+    assert(folds(Semiring.MinString).isEmpty)
   }
 
   test("idempotence flags split sum-like from min/max semirings") {

@@ -62,6 +62,14 @@ class RunnerSpec extends SparkSpec {
     check(TpchLite.q3(t), Runner.PlusSql)
   }
 
+  test("PlusSql leaves no operator view in the session") {
+    val w = TpchLite.q3(t)
+    val r = Runner.run(w, Runner.PlusSql)
+    try r.df.collect() finally r.cleanup()
+    val views = spark.catalog.listTables().collect().map(_.name).filter(_.contains("_op"))
+    assert(views.isEmpty, views.mkString(", "))
+  }
+
   test("PlusSql on TPCH Q9") {
     check(TpchLite.q9(t), Runner.PlusSql)
   }
@@ -110,8 +118,9 @@ class RunnerSpec extends SparkSpec {
   test("stats are cached per bound instance map") {
     val w = TpchLite.q3(t)
     val s1 = Runner.cachedStats(w.cq, w.instances)
-    val s2 = Runner.cachedStats(w.cq, w.instances)
-    assert(s1 eq s2)
+    var s2 = Map.empty[String, AtomStats]
+    assert(jobsDuring { s2 = Runner.cachedStats(w.cq, w.instances) } == 0)
+    assert(s1 == s2)
   }
 
   test("distinct instance maps over different atoms get their own stats") {
@@ -124,7 +133,9 @@ class RunnerSpec extends SparkSpec {
     val sB = Runner.cachedStats(cqB, instB)
     assert(sA.keySet == Set("a") && sA("a").rows == 3.0)
     assert(sB.keySet == Set("b") && sB("b").rows == 5.0)
-    assert(Runner.cachedStats(cqA, instA) eq sA)
+    var again = Map.empty[String, AtomStats]
+    assert(jobsDuring { again = Runner.cachedStats(cqA, instA) } == 0)
+    assert(again == sA)
   }
 
   test("with base statistics known, planning q5 starts no Spark job (cycle elimination and GHD)") {
