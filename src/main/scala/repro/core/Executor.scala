@@ -1,14 +1,18 @@
 package repro.core
 
 import org.apache.spark.sql.CatalystAccess.{column, ofRows}
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
 /** Runs a [[Plan]] on Spark: the instances become scan leaves, [[Lower]]
   * turns the plan into one Catalyst logical plan, and the result is that
   * plan as a DataFrame. Operators used by more than one parent in the DAG
   * are persisted so Spark does not recompute them (callers release them
-  * via [[ExecResult.cleanup]]).
+  * via [[ExecResult.cleanup]]). Their caches are built with AQE allowed to
+  * coalesce the cached plan's output partitions: by default Spark keeps a
+  * cached shuffle at `spark.sql.shuffle.partitions` partitions, so a small
+  * shared aggregate would be stored, and read back by every parent, as
+  * that many mostly empty partitions.
   */
 object Executor {
 
@@ -27,11 +31,29 @@ object Executor {
     // Parent counts over the structurally-deduped DAG decide persistence.
     val parentCount = collection.mutable.Map.empty[Op, Int].withDefaultValue(0)
     plan.ops.foreach(_.children.foreach(c => parentCount(c) += 1))
-    val persisted = plan.ops.collect {
-      case op if parentCount(op) > 1 && !op.isInstanceOf[Scan] =>
-        ofRows(spark, lower(op).plan).persist()
+    val persisted = withCachedPartitioningChangeable(spark) {
+      plan.ops.collect {
+        case op if parentCount(op) > 1 && !op.isInstanceOf[Scan] =>
+          ofRows(spark, lower(op).plan).persist()
+      }
     }
     ExecResult(ofRows(spark, lower.result), persisted)
+  }
+
+  private val ChangeCachedPartitioning =
+    "spark.sql.optimizer.canChangeCachedPlanOutputPartitioning"
+
+  /** Evaluate `body` with [[ChangeCachedPartitioning]] on, then restore the
+    * caller's setting (unset, `true` or `false`). `persist()` plans the
+    * cache in a session cloned from the conf it sees, so the scope is
+    * enough for every cache built inside it.
+    */
+  private def withCachedPartitioningChangeable[T](spark: SparkSession)(body: => T): T = {
+    val conf = spark.conf
+    val prior = conf.getAll.get(ChangeCachedPartitioning)
+    conf.set(ChangeCachedPartitioning, true)
+    try body
+    finally prior.fold(conf.unset(ChangeCachedPartitioning))(conf.set(ChangeCachedPartitioning, _))
   }
 
   /** The scan of an atom: its attributes (re-aliased, so atoms bound to

@@ -168,4 +168,49 @@ class ExecutorSpec extends SparkSpec {
     assert(res.df.collect().toSet == Set(Row(2L, 2L)))
     res.cleanup()
   }
+
+  test("a shared aggregating projection is cached in fewer than the shuffle partitions") {
+    val cq = cqCnt.copy(output = Vector("y"))
+    val shared = Plan.project(cq, Plan.scan(cq, "a"), Vector("y")) // its top is a shuffle
+    val plan = Plan(cq, Join(SemiJoin(Plan.scan(cq, "b"), shared), shared))
+    val inst = Map(
+      "a" -> df2(("x", "y"), (1L, 2L), (3L, 2L), (4L, 5L), (6L, 7L)),
+      "b" -> df2(("y", "z"), (2L, 3L), (5L, 1L), (2L, 4L)))
+    val res = Executor.run(plan, inst)
+    try {
+      repro.Oracle.assertEquivalent(res.df, cq, inst)
+      val builders = res.persisted.flatMap(_.queryExecution.withCachedData.collect {
+        case r: org.apache.spark.sql.execution.columnar.InMemoryRelation => r.cacheBuilder
+      })
+      assert(builders.size == 1 && builders.head.isCachedColumnBuffersLoaded)
+      val shufflePartitions = spark.conf.get("spark.sql.shuffle.partitions").toInt
+      val cachedPartitions = builders.head.cachedColumnBuffers.getNumPartitions
+      assert(cachedPartitions < shufflePartitions)
+    } finally res.cleanup()
+  }
+
+  test("run leaves canChangeCachedPlanOutputPartitioning as the caller set it, also when it throws") {
+    val key = "spark.sql.optimizer.canChangeCachedPlanOutputPartitioning"
+    def setting = spark.conf.getAll.get(key)
+    val cq = cqCnt.copy(output = Vector("y"))
+    val shared = Plan.project(cq, Plan.scan(cq, "a"), Vector("y"))
+    val plan = Plan(cq, Join(SemiJoin(Plan.scan(cq, "b"), shared), shared))
+    val inst = Map(
+      "a" -> df2(("x", "y"), (1L, 2L)), "b" -> df2(("y", "z"), (2L, 3L)))
+    // Lowering the shared join throws: a single-source annotation on both sides.
+    val minCq = cq.copy(aggs = Vector(AggSpec("m", Semiring.MinString, Map("a" -> "x", "b" -> "z"))))
+    val minShared = Join(Plan.scan(minCq, "a"), Plan.scan(minCq, "b"))
+    val failing = Plan(minCq, SemiJoin(minShared, minShared))
+    try {
+      for (prior <- Seq(None, Some("true"), Some("false"))) {
+        prior.fold(spark.conf.unset(key))(spark.conf.set(key, _))
+        Executor.run(plan, inst).cleanup()
+        assert(setting == prior, "after a run")
+        intercept[IllegalArgumentException](Executor.run(plan, inst - "b"))
+        assert(setting == prior, "after missing instances")
+        intercept[IllegalStateException](Executor.run(failing, inst))
+        assert(setting == prior, "after lowering threw")
+      }
+    } finally spark.conf.unset(key)
+  }
 }
