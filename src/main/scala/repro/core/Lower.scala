@@ -20,7 +20,8 @@ import org.apache.spark.sql.types.DataType
   * self-joins need no analyzer). The leaves' `__v{i}` types fix the
   * annotation types; a sum-like annotation no scan sources (COUNT(*))
   * takes its semiring's type. Operators are lowered once each, so a
-  * shared operator is one sub-plan.
+  * shared operator is one sub-plan. The root is already grouped to the
+  * output ([[Plan.result]]); [[result]] only finishes it.
   */
 final class Lower(plan: Plan, scanLeaf: Scan => Lower.Node) {
   import Lower._
@@ -40,29 +41,15 @@ final class Lower(plan: Plan, scanLeaf: Scan => Lower.Node) {
     case sj: SemiJoin => semiJoin(sj)
   })
 
-  /** The query result: the root grouped by the output attributes, each
-    * annotation ⊕-folded and finished, with columns `cq.output` followed
-    * by one per aggregate (named by its alias).
+  /** The query result: the root ([[Plan.result]] has grouped it to the
+    * output attributes), with columns `cq.output` followed by one per
+    * aggregate, each annotation finished and named by its alias.
     */
   lazy val result: LogicalPlan = {
     val root = apply(plan.root)
-    if (cq.aggs.nonEmpty) {
-      // Already grouped to exactly the output attributes with all
-      // annotations present? Then only finishing is needed.
-      val grouped = plan.root match {
-        case p: Project => p.dedupe && p.keep.toSet == cq.outputSet &&
-          cq.aggs.indices.forall(p.annots)
-        case _ => false
-      }
-      val wide = if (grouped) root else aggregate(root, cq.output)
-      LProject(cq.output.map(wide.attr) ++ cq.aggs.zipWithIndex.map { case (a, i) =>
-        Alias(a.semiring.finishExpr(wide.annot(i)), a.alias)()
-      }, wide.plan)
-    } else if (cq.distinctOutput) {
-      aggregate(root, cq.output).plan
-    } else {
-      LProject(cq.output.map(root.attr), root.plan)
-    }
+    LProject(cq.output.map(root.attr) ++ cq.aggs.zipWithIndex.map { case (a, i) =>
+      Alias(a.semiring.finishExpr(root.annot(i)), a.alias)()
+    }, root.plan)
   }
 
   private def project(p: Project): Node = {

@@ -54,9 +54,10 @@ final case class SemiJoin(left: Op, right: Op) extends Op {
   def children: Vector[Op] = Vector(left, right)
 }
 
-/** A complete plan: the root operator plus the query it computes. The
-  * executor appends the final aliasing/finishing step (π_O with output
-  * aliases) when materializing it.
+/** A complete plan: the root operator plus the query it computes. For an
+  * aggregate or `DISTINCT` query the root is the result step, a
+  * deduplicating `π⊕[O]` ([[Plan.result]]); a backend only finishes it,
+  * naming the output columns and finishing each annotation.
   */
 final case class Plan(cq: CQ, root: Op) {
 
@@ -110,12 +111,23 @@ object Plan {
 
   /** `π_keep` with ⊕-aggregation (the Table-1 Projection operator).
     * Identity-width projections are skipped — duplicate folding there is
-    * an optimization, never needed for correctness (the executor's final
-    * step always groups by the output attributes).
+    * an optimization, never needed for correctness ([[result]] groups by
+    * the output attributes).
     */
   def project(cq: CQ, child: Op, keep: Vector[String]): Op =
     if (keep == child.attrs) child
     else Project(child, keep, dedupe = true, cq.sumLikeAnnots)
+
+  /** The result step ending a plan over `op`: for an aggregate or
+    * `DISTINCT` query, `op` grouped to the output attributes — `op` itself
+    * when it is already a deduplicating projection onto them. A
+    * full-enumeration query outputs every attribute of `op` as it is.
+    */
+  def result(cq: CQ, op: Op): Op = op match {
+    case _ if !cq.distinctOutput                                 => op
+    case p: Project if p.dedupe && p.keep.toSet == cq.outputSet => op
+    case _ => Project(op, op.attrs.filter(cq.outputSet), dedupe = true, cq.sumLikeAnnots)
+  }
 
   /** Column pruning only — used when `keep` is known unique in `child`
     * (aggregation elimination, paper §5.1).

@@ -58,6 +58,9 @@ sealed abstract class Semiring(
   /** `⊕` as a Spark aggregate column. */
   final def plus(c: Column): Column = column(plusAgg(expression(c)).toAggregateExpression())
 
+  /** [[finishExpr]] as a Spark column. */
+  final def finish(c: Column): Column = column(finishExpr(expression(c)))
+
   private def probe: Expression = Literal.create(null, dataType)
 
   /** ⊕ spelled in SQL, for native-plan and oracle generation. */
@@ -73,6 +76,15 @@ sealed abstract class Semiring(
 
   /** `1` spelled in SQL (not `Literal.sql`, whose `1L` DuckDB misreads). */
   final def oneSql: Option[String] = one.map(_.value.toString)
+
+  /** [[finishExpr]] spelled in SQL over the annotation column `e`, cast
+    * back to the annotation type where it rewrites `e` (DuckDB's SUM
+    * widens BIGINT to HUGEINT).
+    */
+  final def finishSql(e: String): String = finishExpr(probe) match {
+    case Coalesce(Seq(_, z: Literal)) => s"CAST(COALESCE($e, ${z.value}) AS ${dataType.sql})"
+    case _                            => e
+  }
 
   /** [[countFold]] spelled in SQL over the count expression `cnt`. */
   final def countFoldSql(cnt: String): Option[String] =

@@ -4,9 +4,12 @@ package repro.core
   * deployment (§6): "the instructions are further converted into
   * executable SQL queries". Each operator is a plain (not `MATERIALIZED`)
   * common table expression `<q>_op<i>`, defined once and read by name by
-  * its parents, and the final query reads the root's. DuckDB inlines such
-  * CTEs, as Spark does when they are deterministic, so a shared operator is
-  * computed once per parent. The text is the same for SparkSQL and DuckDB.
+  * its parents. The root is already the result ([[Plan.result]]), so the
+  * final query only finishes it: the output attributes and each finished
+  * annotation under its alias, with no grouping of its own. DuckDB inlines
+  * such CTEs, as Spark does when they are deterministic, so a shared
+  * operator is computed once per parent. The text is the same for SparkSQL
+  * and DuckDB.
   */
 object SqlGen {
 
@@ -42,16 +45,6 @@ object SqlGen {
       case (o, i) => (o: Op) -> s"${sanitize(cq.name)}_op$i"
     }.toMap
 
-    /** Annotation `i` ⊕-folded over a group: with its ⊕ when present,
-      * else (sum-like) as the group count.
-      */
-    def folded(i: Int, present: Boolean): String = {
-      val s = cq.aggs(i).semiring
-      if (present) s"${s.plusSql}(${v(i)})"
-      else s.countFoldSql("COUNT(*)").getOrElse(throw new IllegalStateException(
-        s"${cq.name}: annotation ${cq.aggs(i).alias} ($s) absent at the plan root"))
-    }
-
     def sqlFor(op: Op): String = op match {
       case s: Scan =>
         val annots = s.annots.toVector.sorted.map { i =>
@@ -72,15 +65,23 @@ object SqlGen {
         if (!p.dedupe) {
           val cols = p.keep ++ p.child.annots.toVector.sorted.map(v)
           s"SELECT ${cols.mkString(", ")} FROM $child"
-        } else if (cq.aggs.isEmpty) {
-          s"SELECT DISTINCT ${p.keep.mkString(", ")} FROM $child"
         } else {
-          val annots = p.child.annots.toVector.sorted ++
-            (cq.sumLikeAnnots -- p.child.annots).toVector.sorted
-          val sel = (p.keep ++ annots.map(i =>
-            s"${folded(i, p.child.annots(i))} AS ${v(i)}")).mkString(", ")
-          val grp = if (p.keep.isEmpty) "" else s" GROUP BY ${p.keep.mkString(", ")}"
-          s"SELECT $sel FROM $child$grp"
+          // each present annotation ⊕-folded, each absent sum-like one
+          // materialized as the group count
+          val folded = p.child.annots.toVector.sorted.map(i =>
+            s"${cq.aggs(i).semiring.plusSql}(${v(i)}) AS ${v(i)}")
+          val counted = (cq.sumLikeAnnots -- p.child.annots).toVector.sorted.map(i =>
+            s"${cq.aggs(i).semiring.countFoldSql("COUNT(*)").get} AS ${v(i)}")
+          val sel = p.keep ++ folded ++ counted
+          if (cq.aggs.isEmpty || sel.isEmpty) {
+            // SQL has no empty select list: a distinct over no attributes
+            // keeps one constant row iff the child is non-empty.
+            val cols = if (sel.isEmpty) "1 AS __nonempty" else sel.mkString(", ")
+            s"SELECT DISTINCT $cols FROM $child"
+          } else {
+            val grp = if (p.keep.isEmpty) "" else s" GROUP BY ${p.keep.mkString(", ")}"
+            s"SELECT ${sel.mkString(", ")} FROM $child$grp"
+          }
         }
 
       case j: Join =>
@@ -118,25 +119,10 @@ object SqlGen {
         }
     }
 
-    val rootName = nameOf(plan.root)
-    val query =
-      if (cq.aggs.nonEmpty) {
-        val aggCols = cq.aggs.zipWithIndex.map { case (a, i) =>
-          val present = plan.root.annots(i)
-          val body = (present, a.semiring) match {
-            case (true, Semiring.CountProduct) => s"CAST(COALESCE(SUM(${v(i)}), 0) AS BIGINT)"
-            case _                             => folded(i, present)
-          }
-          s"$body AS ${a.alias}"
-        }
-        val sel = (cq.output ++ aggCols).mkString(", ")
-        val grp = if (cq.output.isEmpty) "" else s" GROUP BY ${cq.output.mkString(", ")}"
-        s"SELECT $sel FROM $rootName$grp"
-      } else if (cq.distinctOutput) {
-        s"SELECT DISTINCT ${cq.output.mkString(", ")} FROM $rootName"
-      } else {
-        s"SELECT ${cq.output.mkString(", ")} FROM $rootName"
-      }
+    val aggCols = cq.aggs.zipWithIndex.map { case (a, i) =>
+      s"${a.semiring.finishSql(v(i))} AS ${a.alias}"
+    }
+    val query = s"SELECT ${(cq.output ++ aggCols).mkString(", ")} FROM ${nameOf(plan.root)}"
 
     Script(ops.map(o => s"${nameOf(o)} AS (${sqlFor(o)})")
       .mkString("WITH ", ", ", s" $query"))

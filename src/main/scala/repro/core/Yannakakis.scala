@@ -6,7 +6,7 @@ package repro.core
   *  2. pre-order semi-join pass (`R_c ← R_c ⋉ R_i`),
   *  3. post-order aggregation-joins
   *     (`R_p ← (π_{A_p ∪ O} R_i) ⋈ R_p`, removing `R_i`),
-  *  4. final `π_O`.
+  *  4. the result step `π⊕[O]` ([[Plan.result]]).
   *
   * Produces `2(n-1)` semi-joins and `n-1` joins for an n-relation query —
   * the hidden-constant overhead Yannakakis+ attacks. No rewrite rules are
@@ -41,8 +41,7 @@ object Yannakakis {
       val keep = ops(i).attrs.filter(x => ops(p).attrSet(x) || cq.outputSet(x))
       ops(p) = Join(ops(p), Plan.project(cq, ops(i), keep))
     }
-    val root = ops(tree.atomId)
-    Plan(cq, Plan.project(cq, root, root.attrs.filter(cq.outputSet)))
+    Plan(cq, Plan.result(cq, ops(tree.atomId)))
   }
 
   /** Plan over the default join tree. */

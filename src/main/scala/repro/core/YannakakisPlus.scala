@@ -28,8 +28,9 @@ object YannakakisPlus {
   private final class State(cq: CQ, tree: RootedTree, cfg: RuleConfig,
                             ce: CardEstimator) {
     private val O = cq.outputSet
+    private val keys = new Keys(cfg)
     private val nodes = collection.mutable.Map.empty[String, Node]
-    cq.atoms.foreach(a => nodes(a.id) = nodeFor(cq, a.id, cfg))
+    cq.atoms.foreach(a => nodes(a.id) = nodeFor(cq, a.id, cfg, keys))
 
     // Mutable tree structure over the live nodes.
     private val parent = collection.mutable.Map.empty[String, String] ++= tree.parents
@@ -57,10 +58,7 @@ object YannakakisPlus {
         if (isLeafNow && (ni.attrSet & O).subsetOf(np.attrSet)) {
           // Aggregation-join: R_p ← R_p ⋈ (π_{A_p} R_i); remove R_i.
           val keep = ni.attrs.filter(np.attrSet)
-          val (proj, projKeys) = projectedCopy(cq, cfg, ni, keep)
-          val oldKeys = np.keys
-          np.op = Join(np.op, proj)
-          np.keys = keysAfterJoin(np.attrSet, oldKeys, proj.attrSet, projKeys)
+          np.op = Join(np.op, projectedCopy(cq, cfg, ni, keep))
           np.complete &&= ni.complete && cfg.refIntegrity((p, i))
           remove(i)
         } else {
@@ -114,10 +112,7 @@ object YannakakisPlus {
       }
     }
 
-    def result(): Plan = {
-      val r = nodes(live.head)
-      Plan(cq, Plan.project(cq, r.op, r.attrs.filter(O)))
-    }
+    def result(): Plan = Plan(cq, Plan.result(cq, nodes(live.head).op))
 
     // ------------------------------------------------------- internals --
 
@@ -149,10 +144,8 @@ object YannakakisPlus {
         (ni.attrSet ++ nj.attrSet).filter(x => O(x) || others(x))
       }
       val joined = Join(ni.op, nj.op)
-      val joinedKeys = keysAfterJoin(ni.attrSet, ni.keys, nj.attrSet, nj.keys)
-      val merged = new Node(joined, joinedKeys, ni.complete && nj.complete)
-      projectNode(cq, cfg, merged,
-        joined.attrs.filter(keepSet))
+      val merged = new Node(joined, keys, ni.complete && nj.complete)
+      projectNode(cq, cfg, merged, joined.attrs.filter(keepSet))
       nodes(top) = merged
       // Rewire the tree: top inherits bot's children.
       children(top) = (children(top) ++ children(bot)) - bot - top

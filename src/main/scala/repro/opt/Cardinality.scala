@@ -128,27 +128,20 @@ final class EstimatedCE(cq: CQ, stats: Map[String, AtomStats]) extends CardEstim
 final class WorstCaseCE(cq: CQ, stats: Map[String, AtomStats],
                         cfg: RuleConfig = RuleConfig.default) extends CardEstimator {
 
-  private val memo = collection.mutable.Map.empty[Op, (Double, Set[Set[String]])]
+  private val keys = new PlannerUtil.Keys(cfg)
+  private val memo = collection.mutable.Map.empty[Op, Double]
 
-  /** (bound, known unique keys). */
-  private def est(op: Op): (Double, Set[Set[String]]) = memo.getOrElseUpdate(op, op match {
-    case s: Scan    => (stats(s.atomId).rows, cfg.keysOf(s.atomId))
-    case p: Project =>
-      val (r, k) = est(p.child)
-      (r, PlannerUtil.keysAfterProject(k, p.keep.toSet, p.dedupe))
+  def estimate(op: Op): Double = memo.getOrElseUpdate(op, op match {
+    case s: Scan      => stats(s.atomId).rows
+    case p: Project   => estimate(p.child)
     case j: Join =>
-      val (lr, lk) = est(j.left); val (rr, rk) = est(j.right)
+      val (lr, rr) = (estimate(j.left), estimate(j.right))
       val common = j.left.attrSet & j.right.attrSet
-      val lBound = if (rk.exists(_.subsetOf(common))) lr else lr * rr
-      val rBound = if (lk.exists(_.subsetOf(common))) rr else lr * rr
-      (math.min(math.min(lBound, rBound), 1e18),
-        PlannerUtil.keysAfterJoin(j.left.attrSet, lk, j.right.attrSet, rk))
-    case sj: SemiJoin =>
-      val (lr, lk) = est(sj.left)
-      (lr, lk)
+      val lBound = if (keys(j.right).exists(_.subsetOf(common))) lr else lr * rr
+      val rBound = if (keys(j.left).exists(_.subsetOf(common))) rr else lr * rr
+      math.min(math.min(lBound, rBound), 1e18)
+    case sj: SemiJoin => estimate(sj.left)
   })
-
-  def estimate(op: Op): Double = est(op)._1
 }
 
 /** Exact cardinalities — executes each sub-operator once and counts

@@ -9,8 +9,8 @@ import repro.core._
   * hypergraph becomes acyclic, evaluate the renamed query grouped by
   * `O ∪ {x, x'}`, then reinstate the equality with a selection
   * `σ_{x = x'}` followed by a re-aggregation down to `O` (valid because ⊕
-  * is associative). With PK–FK joins this keeps the run linear — exactly
-  * the TPC-H Q5 pattern.
+  * is associative), finished as the query's own result is. With PK–FK
+  * joins this keeps the run linear — exactly the TPC-H Q5 pattern.
   */
 object CycleElimination {
 
@@ -62,7 +62,8 @@ object CycleElimination {
         val fin: DataFrame => DataFrame = { df =>
           val filtered = df.filter(col(x) === col(fresh))
           if (cq.aggs.nonEmpty) {
-            val reaggs = cq.aggs.map(a => a.semiring.plus(col(a.alias)).as(a.alias))
+            val reaggs = cq.aggs.map(a =>
+              a.semiring.finish(a.semiring.plus(col(a.alias))).as(a.alias))
             filtered.groupBy(cq.output.map(col): _*).agg(reaggs.head, reaggs.tail: _*)
               .select(cq.output.map(col) ++ cq.aggs.map(a => col(a.alias)): _*)
           } else if (cq.distinctOutput) {

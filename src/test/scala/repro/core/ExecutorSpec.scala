@@ -53,7 +53,7 @@ class ExecutorSpec extends SparkSpec {
       "b" -> Seq(2L, 2L, 3L).toDF("y"))
     val proj = Plan.project(cq, Plan.scan(cq, "a"), Vector("y"))
     val j = Join(Plan.scan(cq, "b"), proj)
-    val plan = Plan(cq, j)
+    val plan = Plan(cq, Plan.result(cq, j))
     val res = Executor.run(plan, inst)
     // y=2: two b-rows × folded annotation 2 = 4 join results
     assert(res.df.collect().toSet == Set(Row(2L, 4L)))
@@ -172,7 +172,7 @@ class ExecutorSpec extends SparkSpec {
   test("a shared aggregating projection is cached in fewer than the shuffle partitions") {
     val cq = cqCnt.copy(output = Vector("y"))
     val shared = Plan.project(cq, Plan.scan(cq, "a"), Vector("y")) // its top is a shuffle
-    val plan = Plan(cq, Join(SemiJoin(Plan.scan(cq, "b"), shared), shared))
+    val plan = Plan(cq, Plan.result(cq, Join(SemiJoin(Plan.scan(cq, "b"), shared), shared)))
     val inst = Map(
       "a" -> df2(("x", "y"), (1L, 2L), (3L, 2L), (4L, 5L), (6L, 7L)),
       "b" -> df2(("y", "z"), (2L, 3L), (5L, 1L), (2L, 4L)))

@@ -33,6 +33,10 @@ object Fixtures {
       (1 to k).map(i => Atom(s"e$i", Vector(s"x$i", s"x${i + 1}"))).toVector,
       output, aggs, distinct)
 
+  /** `SELECT DISTINCT x FROM a(x), b(y)`: b only has to be non-empty. */
+  val crossDistinct: CQ = CQ("crossDistinct",
+    Vector(Atom("a", Vector("x")), Atom("b", Vector("y"))), Vector("x"))
+
   val triangle: CQ = CQ("triangle", Vector(
     Atom("e1", Vector("a", "b")), Atom("e2", Vector("b", "c")),
     Atom("e3", Vector("c", "a"))), Vector.empty, count())

@@ -58,6 +58,18 @@ class PlanSpec extends AnyFunSuite {
     assert(p.annots.isEmpty)
   }
 
+  test("result groups to the output unless the root already does") {
+    val j = Join(Plan.scan(cqSum, "a"), Plan.scan(cqSum, "b"))
+    val r = Plan.result(cqSum, j)
+    assert(r == Project(j, Vector("x"), dedupe = true, Set(0)))
+    assert(Plan.result(cqSum, r) eq r)
+    // column pruning onto the output is no result: it keeps duplicates
+    val pruned = Plan.prune(j, Vector("x"))
+    assert(Plan.result(cqSum, pruned) == Project(pruned, Vector("x"), dedupe = true, Set(0)))
+    val full = cqSum.copy(output = Vector("x", "y", "z"), aggs = Vector.empty, distinctOutput = false)
+    assert(Plan.result(full, j) eq j)
+  }
+
   test("ops deduplicates shared sub-DAGs and counts operators") {
     val s = Plan.scan(cqSum, "a")
     val plan = Plan(cqSum, Join(SemiJoin(Plan.scan(cqSum, "b"), s), s))

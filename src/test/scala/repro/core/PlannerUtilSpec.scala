@@ -39,21 +39,21 @@ class PlannerUtilSpec extends AnyFunSuite {
   test("nodeFor exposes configured keys and completeness") {
     val cq = Fixtures.q4
     val cfg = RuleConfig.default.copy(uniqueKeys = Map("R2" -> Set(Set("x2"))))
-    val n = nodeFor(cq, "R2", cfg)
+    val n = nodeFor(cq, "R2", cfg, new Keys(cfg))
     assert(n.keys == Set(Set("x2")) && n.complete)
   }
 
   test("projectNode downgrades to pruning when a key survives") {
     val cq = Fixtures.q4
     val cfg = RuleConfig.default.copy(uniqueKeys = Map("R2" -> Set(Set("x2"))))
-    val n = nodeFor(cq, "R2", cfg)
+    val n = nodeFor(cq, "R2", cfg, new Keys(cfg))
     projectNode(cq, cfg, n, Vector("x2"))
     assert(n.op.isInstanceOf[Project] && !n.op.asInstanceOf[Project].dedupe)
   }
 
   test("projectNode aggregates when no key survives") {
     val cq = Fixtures.q4
-    val n = nodeFor(cq, "R2", RuleConfig.default)
+    val n = nodeFor(cq, "R2", RuleConfig.default, new Keys(RuleConfig.default))
     projectNode(cq, RuleConfig.default, n, Vector("x2"))
     assert(n.op.asInstanceOf[Project].dedupe)
     assert(n.keys.contains(Set("x2"))) // dedupe creates the key

@@ -58,6 +58,13 @@ class SqlGenSpec extends SparkSpec {
     assert(s.finalQuery.contains("SELECT DISTINCT"))
   }
 
+  test("the final query only finishes the root: no GROUP BY or DISTINCT") {
+    for (cq <- Seq(q1, q3, line(2, Vector.empty, count()), line(3, Vector("x1", "x4")))) {
+      val (_, query) = split(scriptFor(cq))
+      assert(!query.contains("GROUP BY") && !query.contains("DISTINCT"), query)
+    }
+  }
+
   private def sparkScriptMatchesOracle(cq: CQ, seed: Long = 7): Unit = {
     val inst = TestData.instances(spark, cq, rows = 120, dom = 8, seed = seed)
     inst.foreach { case (id, df) => df.createOrReplaceTempView(id) }
@@ -78,6 +85,9 @@ class SqlGenSpec extends SparkSpec {
         AggSpec("cnt", Semiring.CountProduct),
         AggSpec("s", Semiring.SumProduct, Map("a" -> "v")),
         AggSpec("m", Semiring.MinSum, Map("b" -> "w")))))
+  }
+  test("script execution matches oracle: distinct projection onto no attributes") {
+    sparkScriptMatchesOracle(crossDistinct)
   }
   test("script execution matches oracle: full enumeration") {
     sparkScriptMatchesOracle(line(2, Vector("x1", "x2", "x3"), Vector.empty,

@@ -50,9 +50,9 @@ class DuckRunnerSpec extends SparkSpec {
       Atom("a", Vector("x", "y", "z")), Atom("b", Vector("x", "y", "w"))),
       Vector("z"), count())
     // a ⋉_{x,y} b, then joined with π_{x,y} b (its count annotation)
-    val plan = Plan(cq, Join(
+    val plan = Plan(cq, Plan.result(cq, Join(
       SemiJoin(Plan.scan(cq, "a"), Plan.scan(cq, "b")),
-      Plan.project(cq, Plan.scan(cq, "b"), Vector("x", "y"))))
+      Plan.project(cq, Plan.scan(cq, "b"), Vector("x", "y")))))
     val inst = TestData.instances(spark, cq, rows = 150, dom = 4)
     val d = new DuckRunner
     try {
@@ -67,6 +67,16 @@ class DuckRunnerSpec extends SparkSpec {
       try Oracle.assertEquivalent(res.df, cq, inst)
       finally res.cleanup()
     } finally d.close()
+  }
+
+  test("distinct projection onto no attributes: duck native + duck script agree with Spark") {
+    // Plus projects b onto no attributes: it only has to be non-empty.
+    assert(YannakakisPlus.plan(crossDistinct).ops.exists {
+      case p: Project => p.dedupe && p.keep.isEmpty
+      case _          => false
+    })
+    checkBoth(crossDistinct, TestData.instances(spark, crossDistinct, rows = 30, dom = 6))
+    checkBoth(crossDistinct, TestData.withEmpty(spark, crossDistinct, "b", rows = 30, dom = 6))
   }
 
   test("a script that fails part-way leaves none of its views behind") {
