@@ -117,7 +117,7 @@ final case class CQ(
       case at if a.perAtom.contains(at.id) =>
         s"(${qualify(a.perAtom(at.id), at.id, at.attrSet, cast)})"
     }
-    val body = terms.mkString(s" ${a.semiring.timesSql} ")
+    val body = terms.reduce(_ + s" ${a.semiring.timesSql} " + _)
     s"${a.semiring.plusSql}($body) AS ${a.alias}"
   }
 

@@ -79,7 +79,8 @@ object Executor {
   }
 
   /** Evaluate a single operator (no finishing π/aliasing) — used by the
-    * exact cardinality estimator to count intermediates.
+    * exact cardinality estimator to count intermediates, and to build
+    * GHD bags.
     */
   def materialize(cq: CQ, op: Op, instances: CQ.Instances): DataFrame =
     ofRows(instances.head._2.sparkSession,

@@ -66,12 +66,14 @@ sealed abstract class Semiring(
   /** ⊕ spelled in SQL, for native-plan and oracle generation. */
   final def plusSql: String = plusAgg(probe).prettyName.toUpperCase(java.util.Locale.ROOT)
 
-  /** ⊗ spelled as an infix SQL operator. Single-source semirings never
-    * combine two terms; `||` only fills the separator slot there.
+  /** ⊗ spelled as an infix SQL operator, between two annotation terms. A
+    * single-source semiring has no ⊗: combining two of its terms throws,
+    * as lowering the same join does ([[Lower]]).
     */
   final def timesSql: String = timesExpr.map(_(probe, probe)) match {
     case Some(op: BinaryOperator) => op.symbol
-    case _                        => "||"
+    case _ => throw new IllegalStateException(
+      s"$this is single-source: no ⊗ combines two of its annotations")
   }
 
   /** `1` spelled in SQL (not `Literal.sql`, whose `1L` DuckDB misreads). */

@@ -1,7 +1,7 @@
 package repro.ghd
 
 import repro.core._
-import repro.opt.{AtomStats, Stats}
+import repro.opt.{AtomStats, EstimatedCE, Stats}
 
 /** Generalized hypertree decompositions for cyclic queries (paper §4.1).
   *
@@ -12,9 +12,10 @@ import repro.opt.{AtomStats, Stats}
   * atom contributes its annotation in exactly one bag. Example 4.1's
   * dumbbell decomposes into its two triangles plus the bridge.
   *
-  * Each multi-atom bag is materialized with the engine's own binary join
-  * plan (the paper does the same absent WCOJ support); the resulting bag
-  * relations form an acyclic CQ evaluated by Yannakakis+.
+  * A multi-atom bag is binary [[Join]]s over its members' scans (the
+  * paper's plan absent WCOJ support), ranked, sized and built by the
+  * planner's own estimator and lowering; the resulting bag relations
+  * form an acyclic CQ evaluated by Yannakakis+.
   */
 object GHD {
 
@@ -68,42 +69,34 @@ object GHD {
     out.result()
   }
 
-  /** Pick the decomposition minimizing the estimated total bag
-    * materialization size (chain-formula estimate over member stats),
-    * preferring fewer/smaller bags on ties.
+  /** The bag as a Plan-IR join of its members' scans: left-deep from its
+    * first member, adding each member once it shares an attribute with
+    * those already joined (bags are connected, so no join is a cross
+    * join). The scans carry no annotation: the bag's aggregates are
+    * remapped onto its attributes ([[materialize]]).
+    */
+  def join(cq: CQ, bag: Bag): Op = {
+    def grow(acc: Op, rest: Vector[Scan]): Op =
+      if (rest.isEmpty) acc
+      else {
+        val next = rest.find(_.attrs.exists(acc.attrSet)).getOrElse(rest.head)
+        grow(Join(acc, next), rest.filterNot(_ == next))
+      }
+    val scans = bag.memberIds.map(id => Scan(id, cq.atom(id).attrs, Set.empty))
+    grow(scans.head, scans.tail)
+  }
+
+  /** Pick the decomposition minimizing the estimated total bag size
+    * ([[EstimatedCE]] over each bag's [[join]]), preferring fewer/smaller
+    * bags on ties.
     */
   def bestDecomposition(cq: CQ, stats: Map[String, AtomStats]): Option[Decomposition] = {
+    val ce = new EstimatedCE(cq, stats)
     val all = decompositions(cq)
     if (all.isEmpty) None
     else Some(all.minBy { d =>
-      (d.bags.map(bagEstimate(cq, stats, _)).sum, d.bags.size, d.toString)
+      (d.bags.map(b => ce.estimate(join(cq, b))).sum, d.bags.size, d.toString)
     })
-  }
-
-  private def bagEstimate(cq: CQ, stats: Map[String, AtomStats], bag: Bag): Double = {
-    // Chain join estimate: multiply rows, divide by max NDV per shared attr.
-    val members = bag.memberIds.map(cq.atom)
-    var rows = members.map(a => stats.get(a.id).map(_.rows).getOrElse(1000.0)).product
-    val attrs = members.flatMap(_.attrs).distinct
-    attrs.foreach { x =>
-      val holders = members.filter(_.attrSet(x))
-      if (holders.size >= 2) {
-        val nds = holders.map(a => stats.get(a.id).flatMap(_.ndv.get(x)).getOrElse(100.0))
-        rows /= math.pow(nds.max, holders.size - 1)
-      }
-    }
-    math.max(rows, 1.0)
-  }
-
-  /** A multi-atom bag's statistics as [[bestDecomposition]] estimates
-    * them: the chain estimate's rows, and each attribute's NDV the least
-    * over the members holding it, capped at those rows.
-    */
-  private def bagStats(sub: CQ, subInst: CQ.Instances, bag: Bag): AtomStats = {
-    val stats = Stats.of(sub, subInst)
-    val rows = bagEstimate(sub, stats, bag)
-    AtomStats(rows, sub.output.map(x =>
-      x -> math.min(rows, sub.atomsWith(x).map(a => stats(a.id).ndv(x)).min)).toMap)
   }
 
   /** The bag CQ's *structure* only (no instances) — used to classify
@@ -121,24 +114,23 @@ object GHD {
     if (Hypergraph.isAcyclic(cq)) JoinTree.isFreeConnexQuery(cq)
     else decompositions(cq).exists(d => JoinTree.isFreeConnexQuery(structuralCQ(cq, d)))
 
-  /** Materialize the bags (multi-atom bags via the engine's native binary
-    * join plan) and return the equivalent acyclic CQ with rebound
-    * instances and aggregates remapped onto the bags. A multi-atom bag's
-    * statistics are derived from its members' (see [[bagStats]]), so
-    * planning over the bags runs no bag join.
+  /** Materialize the bags and return the equivalent acyclic CQ with
+    * rebound instances and aggregates remapped onto the bags. A
+    * multi-atom bag is its [[join]] lowered like any other plan
+    * ([[Executor.materialize]]); its statistics are [[EstimatedCE]]'s rows
+    * and NDVs of that join over its members', derived when first asked
+    * for, so planning over the bags runs no bag join.
     */
   def materialize(cq: CQ, inst: CQ.Instances,
                   dec: Decomposition): (CQ, CQ.Instances) = {
+    lazy val ce = new EstimatedCE(cq, Stats.of(cq, inst))
     val atoms2 = dec.bags.map(b => Atom(b.id, b.attrs(cq)))
     val inst2 = dec.bags.map { b =>
       val df =
         if (b.memberIds.size == 1) inst(b.memberIds.head)
         else {
-          val sub = CQ(s"${cq.name}_${b.id}",
-            b.memberIds.map(cq.atom),
-            b.attrs(cq), Vector.empty, distinctOutput = false)
-          val subInst = b.memberIds.map(id => id -> inst(id)).toMap
-          Stats.derive(Executor.runNative(sub, subInst))(bagStats(sub, subInst, b))
+          val j = join(cq, b)
+          Stats.derive(Executor.materialize(cq, j, inst))(ce.est(j))
         }
       b.id -> df
     }.toMap
@@ -146,7 +138,7 @@ object GHD {
     val aggs2 = cq.aggs.map { ag =>
       val byBag = ag.perAtom.groupBy { case (id, _) => atomToBag(id) }
       ag.copy(perAtom = byBag.map { case (bagId, exprs) =>
-        bagId -> exprs.values.map(e => s"($e)").mkString(s" ${ag.semiring.timesSql} ")
+        bagId -> exprs.values.map(e => s"($e)").reduce(_ + s" ${ag.semiring.timesSql} " + _)
       })
     }
     (CQ(s"${cq.name}_ghd", atoms2, cq.output, aggs2, cq.distinctOutput), inst2)

@@ -16,8 +16,10 @@ final case class AtomStats(rows: Double, ndv: Map[String, Double])
   * elimination's renamed copy, a GHD bag — is registered with [[derive]],
   * and its statistics are computed from its sources' when first asked
   * for, with no Spark job, as paper §5.2 estimates everything above the
-  * base tables. Entries are keyed by the DataFrame (by reference) and
-  * held weakly, so each goes away with its instance.
+  * base tables: the renamed copy's are its source's, a bag's are
+  * [[EstimatedCE]]'s estimate of its join. Entries are keyed by the
+  * DataFrame (by reference) and held weakly, so each goes away with its
+  * instance.
   */
 object Stats {
 
@@ -77,21 +79,18 @@ object Stats {
   */
 final class EstimatedCE(cq: CQ, stats: Map[String, AtomStats]) extends CardEstimator {
 
-  final case class Est(rows: Double, ndv: Map[String, Double])
+  private val memo = collection.mutable.Map.empty[Op, AtomStats]
 
-  private val memo = collection.mutable.Map.empty[Op, Est]
-
-  def est(op: Op): Est = memo.getOrElseUpdate(op, op match {
-    case s: Scan =>
-      val st = stats(s.atomId)
-      Est(st.rows, st.ndv)
+  /** The estimated statistics of `op`'s output. */
+  def est(op: Op): AtomStats = memo.getOrElseUpdate(op, op match {
+    case s: Scan => stats(s.atomId)
     case p: Project =>
       val c = est(p.child)
-      if (!p.dedupe) Est(c.rows, c.ndv.view.filterKeys(p.keep.toSet).toMap)
+      if (!p.dedupe) AtomStats(c.rows, c.ndv.view.filterKeys(p.keep.toSet).toMap)
       else {
         val ndvKeep = p.keep.map(x => c.ndv.getOrElse(x, c.rows))
         val bound = ndvKeep.foldLeft(1.0)((a, b) => math.min(a * b, 1e18))
-        Est(math.min(c.rows, bound), c.ndv.view.filterKeys(p.keep.toSet).toMap)
+        AtomStats(math.min(c.rows, bound), c.ndv.view.filterKeys(p.keep.toSet).toMap)
       }
     case j: Join =>
       val l = est(j.left); val r = est(j.right)
@@ -105,7 +104,7 @@ final class EstimatedCE(cq: CQ, stats: Map[String, AtomStats]) extends CardEstim
           r.ndv.getOrElse(x, Double.MaxValue))
         x -> math.min(n, rows)
       }.toMap
-      Est(rows, ndv)
+      AtomStats(rows, ndv)
     case sj: SemiJoin =>
       val l = est(sj.left); val r = est(sj.right)
       val common = sj.left.attrSet & sj.right.attrSet
@@ -115,7 +114,7 @@ final class EstimatedCE(cq: CQ, stats: Map[String, AtomStats]) extends CardEstim
         acc * math.min(1.0, nr / math.max(nl, 1.0))
       }
       val rows = math.max(1.0, l.rows * sel)
-      Est(rows, l.ndv.view.mapValues(n => math.min(n, rows)).toMap)
+      AtomStats(rows, l.ndv.view.mapValues(n => math.min(n, rows)).toMap)
   })
 
   def estimate(op: Op): Double = est(op).rows

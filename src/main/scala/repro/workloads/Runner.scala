@@ -4,6 +4,7 @@ import java.lang.ref.SoftReference
 
 import org.apache.spark.sql.DataFrame
 import repro.core._
+import repro.core.Executor.ExecResult
 import repro.ghd.GHD
 import repro.opt._
 
@@ -37,23 +38,22 @@ object Runner {
   case object CeAccurate extends CeMode
   case object CeWorstCase extends CeMode
 
-  final case class RunResult(df: DataFrame, cleanups: Vector[() => Unit]) {
-    def cleanup(): Unit = cleanups.foreach(_.apply())
-  }
+  /** A run's result and the cached operators to release with it. */
+  type RunResult = Executor.ExecResult
 
   def run(w: Workload, method: Method, ceMode: CeMode = CeEstimated,
           optimize: Boolean = true): RunResult = method match {
     case Native =>
-      RunResult(Executor.runNative(w.cq, w.instances), Vector.empty)
+      ExecResult(Executor.runNative(w.cq, w.instances), Nil)
     case Classic | Plus =>
       val (p, inst, fin) = plan(w, method, ceMode, optimize)
       val res = Executor.run(p, inst)
-      RunResult(fin(res.df), Vector(() => res.cleanup()))
+      res.copy(df = fin(res.df))
     case PlusSql =>
       val (p, inst, fin) = plan(w, method, ceMode, optimize)
       inst.foreach { case (id, df) => df.createOrReplaceTempView(id) }
       val spark = inst.head._2.sparkSession
-      RunResult(fin(spark.sql(SqlGen.script(p).finalQuery)), Vector.empty)
+      ExecResult(fin(spark.sql(SqlGen.script(p).finalQuery)), Nil)
   }
 
   /** The plan a Yannakakis method evaluates: acyclify, then the default-tree

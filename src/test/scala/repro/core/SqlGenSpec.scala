@@ -33,6 +33,14 @@ class SqlGenSpec extends SparkSpec {
     assert(s.statements.isEmpty && s.viewNames.isEmpty)
   }
 
+  test("a single-source annotation on both join sides has no SQL ⊗, as it has no lowering") {
+    val cq = CQ("minstr2", Vector(Atom("a", Vector("x", "y")), Atom("b", Vector("y", "z"))),
+      Vector("y"), Vector(AggSpec("m", Semiring.MinString, Map("a" -> "x", "b" -> "z"))))
+    val plan = Plan(cq, Plan.result(cq, Join(Plan.scan(cq, "a"), Plan.scan(cq, "b"))))
+    intercept[IllegalStateException](SqlGen.script(plan))
+    intercept[IllegalStateException](cq.flatSql(duck = true))
+  }
+
   test("semi-joins use the paper's IN (SELECT DISTINCT …) spelling") {
     val (defs, _) = split(scriptFor(q1, q1TreeT1))
     assert(defs.exists(_.contains("IN (SELECT DISTINCT")))

@@ -115,6 +115,18 @@ class RunnerSpec extends SparkSpec {
     assert(cq.name.endsWith("_acyc"))
   }
 
+  test("planning a GHD query leaves the caller's temp views alone") {
+    import spark.implicits._
+    val w = q5Paths().last
+    def views = spark.catalog.listTables().collect().filter(_.isTemporary).map(_.name).sorted.toSeq
+    views.foreach(spark.catalog.dropTempView)
+    Seq((1L, "x")).toDF("mine", "other").createOrReplaceTempView("c")
+    val (p, _, _) = Runner.plan(w, Runner.Plus)
+    assert(p.cq.name.endsWith("_ghd"))
+    assert(views == Seq("c"))
+    assert(spark.table("c").columns.toSeq == Seq("mine", "other"))
+  }
+
   test("stats are cached per bound instance map") {
     val w = TpchLite.q3(t)
     val s1 = Runner.cachedStats(w.cq, w.instances)
